@@ -1,7 +1,8 @@
 #include "core/quantile_effects.h"
 
-#include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "util/runner.h"
 #include "stats/bootstrap.h"
@@ -9,32 +10,46 @@
 
 namespace xp::core {
 
-EffectEstimate quantile_treatment_effect(
-    std::span<const Observation> rows, double q,
-    const QuantileEffectOptions& options, util::Runner* runner) {
-  std::vector<double> treated, control;
+namespace {
+
+void split_arms(std::span<const Observation> rows, std::vector<double>& treated,
+                std::vector<double>& control) {
   for (const Observation& row : rows) {
     (row.treated ? treated : control).push_back(row.outcome);
   }
-  return quantile_treatment_effect(treated, control, q, options, runner);
 }
 
-EffectEstimate quantile_treatment_effect(
-    std::span<const double> treated, std::span<const double> control,
-    double q, const QuantileEffectOptions& options, util::Runner* runner) {
-  if (treated.size() < 10 || control.size() < 10) {
+void require_arm_sizes(std::size_t treated, std::size_t control) {
+  if (treated < 10 || control < 10) {
     throw std::invalid_argument(
         "quantile_treatment_effect: need >= 10 units per arm");
   }
+}
 
+/// Ranks one arm for the rank-count bootstrap. A NaN would break the
+/// ordering the sort relies on and an inf turns interpolation into NaN,
+/// so both are refused up front, naming the arm.
+stats::RankedSample rank_arm(std::span<const double> outcomes,
+                             const char* arm) {
+  for (double x : outcomes) {
+    if (!std::isfinite(x)) {
+      throw std::invalid_argument(
+          std::string("quantile_treatment_effect: non-finite outcome in the ") +
+          arm + " arm");
+    }
+  }
+  return stats::RankedSample(outcomes);
+}
+
+EffectEstimate ranked_effect(const stats::RankedSample& treated,
+                             const stats::RankedSample& control, double q,
+                             const QuantileEffectOptions& options,
+                             util::Runner* runner) {
   stats::Rng rng(options.seed);
-  const auto statistic = [q](std::span<const double> a,
-                             std::span<const double> b) {
-    return stats::quantile(a, q) - stats::quantile(b, q);
-  };
-  const stats::BootstrapInterval interval = stats::bootstrap_two_sample_ci(
-      treated, control, statistic, rng, options.bootstrap_replicates,
-      options.confidence_level, runner);
+  const stats::BootstrapInterval interval =
+      stats::bootstrap_quantile_difference_ci(
+          treated, control, q, rng, options.bootstrap_replicates,
+          options.confidence_level, runner);
 
   EffectEstimate effect;
   effect.estimate = interval.point;
@@ -45,20 +60,38 @@ EffectEstimate quantile_treatment_effect(
   // Two-sided p-value is not produced by the percentile bootstrap; leave
   // it at 1 unless the interval excludes zero (conventional shortcut).
   effect.p_value = effect.significant ? 0.049 : 1.0;
-  effect.baseline = stats::quantile(control, q);
+  effect.baseline = stats::quantile_sorted(control.sorted, q);
   return effect;
+}
+
+}  // namespace
+
+EffectEstimate quantile_treatment_effect(
+    std::span<const Observation> rows, double q,
+    const QuantileEffectOptions& options, util::Runner* runner) {
+  std::vector<double> treated, control;
+  split_arms(rows, treated, control);
+  return quantile_treatment_effect(treated, control, q, options, runner);
+}
+
+EffectEstimate quantile_treatment_effect(
+    std::span<const double> treated, std::span<const double> control,
+    double q, const QuantileEffectOptions& options, util::Runner* runner) {
+  require_arm_sizes(treated.size(), control.size());
+  return ranked_effect(rank_arm(treated, "treated"),
+                       rank_arm(control, "control"), q, options, runner);
 }
 
 std::vector<QuantileEffectRow> quantile_effect_ladder(
     std::span<const Observation> rows, std::span<const double> quantiles,
     const QuantileEffectOptions& options, util::Runner* runner) {
-  // The arm partition is identical for every rung, so split the table
-  // once up front; each rung then bootstraps over the shared read-only
-  // outcome vectors.
+  // The arms are identical for every rung, so split and rank them once;
+  // each rung then bootstraps over the shared read-only ranking.
   std::vector<double> treated, control;
-  for (const Observation& row : rows) {
-    (row.treated ? treated : control).push_back(row.outcome);
-  }
+  split_arms(rows, treated, control);
+  require_arm_sizes(treated.size(), control.size());
+  const stats::RankedSample treated_ranks = rank_arm(treated, "treated");
+  const stats::RankedSample control_ranks = rank_arm(control, "control");
   // Rungs are independent bootstraps with index-derived seeds, so the
   // runner can fan them out; the ladder is identical at any thread count.
   util::Runner& pool = runner ? *runner : util::global_runner();
@@ -67,8 +100,8 @@ std::vector<QuantileEffectRow> quantile_effect_ladder(
     QuantileEffectOptions step = options;
     step.seed = options.seed + i + 1;  // independent streams per quantile
     ladder[i].quantile = quantiles[i];
-    ladder[i].effect =
-        quantile_treatment_effect(treated, control, quantiles[i], step, runner);
+    ladder[i].effect = ranked_effect(treated_ranks, control_ranks,
+                                     quantiles[i], step, runner);
   });
   return ladder;
 }

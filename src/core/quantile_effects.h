@@ -29,6 +29,10 @@ struct QuantileEffectOptions {
 /// percentile-bootstrap interval (arms resampled independently).
 /// `runner` controls where bootstrap replicates fan out (null = the
 /// process-wide runner); results are identical at any thread count.
+/// Each arm is sorted once and every replicate is read off per-rank draw
+/// counts (stats::bootstrap_quantile_difference_ci). Throws
+/// std::invalid_argument, naming the arm, if an arm has fewer than 10
+/// units or a NaN or infinite outcome.
 EffectEstimate quantile_treatment_effect(
     std::span<const Observation> rows, double q,
     const QuantileEffectOptions& options = {},
@@ -51,6 +55,9 @@ struct QuantileEffectRow {
   EffectEstimate effect;
 };
 
+/// Ranks each arm once and shares the ranking, read-only, across rungs;
+/// rung i bootstraps with seed `options.seed + i + 1`. Same guards as
+/// quantile_treatment_effect.
 std::vector<QuantileEffectRow> quantile_effect_ladder(
     std::span<const Observation> rows,
     std::span<const double> quantiles,

@@ -10,8 +10,10 @@
 // seed at any thread count.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "stats/rng.h"
 
@@ -53,5 +55,32 @@ BootstrapInterval bootstrap_two_sample_ci(std::span<const double> a,
                                           std::size_t replicates = 1000,
                                           double confidence_level = 0.95,
                                           util::Runner* runner = nullptr);
+
+/// One sample ranked once, for bootstrap reads that never sort a
+/// resample: `sorted` holds the values ascending and `rank[i]` is the
+/// sorted position of sample[i] (a stable argsort). Values must be
+/// finite, since a NaN breaks the ordering the sort needs; at most 2^32
+/// of them (the resampling index range).
+struct RankedSample {
+  explicit RankedSample(std::span<const double> sample);
+  std::size_t size() const noexcept { return sorted.size(); }
+
+  std::vector<double> sorted;
+  std::vector<std::uint32_t> rank;
+};
+
+/// Percentile bootstrap for Q_q(a) - Q_q(b), the R-7 quantile difference
+/// of two independently resampled groups. Bit-identical to
+/// bootstrap_two_sample_ci with the statistic
+/// `quantile(a, q) - quantile(b, q)` from the same Rng state: each
+/// replicate makes the same index draws (group a, then group b), but
+/// tallies them per rank and reads the two bracketing order statistics off
+/// the cumulative counts, so a replicate costs O(n) instead of a copy and
+/// an O(n log n) sort. Tied values are equal, so which tied rank a draw
+/// lands on does not change any quantile.
+BootstrapInterval bootstrap_quantile_difference_ci(
+    const RankedSample& a, const RankedSample& b, double q, Rng& rng,
+    std::size_t replicates = 1000, double confidence_level = 0.95,
+    util::Runner* runner = nullptr);
 
 }  // namespace xp::stats

@@ -37,6 +37,23 @@ double quantile(std::span<const double> xs, double q);
 /// Quantile over data the caller has already sorted ascending.
 double quantile_sorted(std::span<const double> sorted, double q) noexcept;
 
+/// Where the R-7 quantile q falls in a sorted sample of size n >= 2: the
+/// bracketing sorted positions lo <= hi and the weight on hi. q is clamped
+/// to [0, 1]. Lets a caller that reads order statistics some other way
+/// (the rank-count bootstrap) interpolate exactly as quantile_sorted does.
+struct QuantileBracket {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  double frac = 0.0;
+};
+QuantileBracket quantile_bracket(std::size_t n, double q) noexcept;
+
+/// The quantile from its bracket's two order statistics.
+inline double interpolate(const QuantileBracket& at, double lo_value,
+                          double hi_value) noexcept {
+  return lo_value + at.frac * (hi_value - lo_value);
+}
+
 /// Median (quantile 0.5).
 double median(std::span<const double> xs);
 

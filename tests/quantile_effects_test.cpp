@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
+#include "stats/bootstrap.h"
+#include "stats/descriptive.h"
 #include "stats/rng.h"
+#include "util/runner.h"
 
 namespace xp::core {
 namespace {
@@ -81,6 +88,159 @@ TEST(QuantileEffects, DeterministicForSeed) {
   const auto b = quantile_treatment_effect(rows, 0.9);
   EXPECT_DOUBLE_EQ(a.ci_low, b.ci_low);
   EXPECT_DOUBLE_EQ(a.ci_high, b.ci_high);
+}
+
+// The sort-every-resample path the rank-count kernel replaces: the generic
+// two-sample bootstrap with a sort-based quantile-difference statistic.
+EffectEstimate sorted_reference(std::span<const double> treated,
+                                std::span<const double> control, double q,
+                                const QuantileEffectOptions& options,
+                                util::Runner& runner) {
+  stats::Rng rng(options.seed);
+  const auto statistic = [q](std::span<const double> a,
+                             std::span<const double> b) {
+    return stats::quantile(a, q) - stats::quantile(b, q);
+  };
+  const stats::BootstrapInterval interval = stats::bootstrap_two_sample_ci(
+      treated, control, statistic, rng, options.bootstrap_replicates,
+      options.confidence_level, &runner);
+  EffectEstimate effect;
+  effect.estimate = interval.point;
+  effect.std_error = interval.std_error;
+  effect.ci_low = interval.low;
+  effect.ci_high = interval.high;
+  effect.significant = interval.low > 0.0 || interval.high < 0.0;
+  effect.baseline = stats::quantile(control, q);
+  return effect;
+}
+
+void expect_identical(const EffectEstimate& got, const EffectEstimate& want) {
+  EXPECT_EQ(got.estimate, want.estimate);
+  EXPECT_EQ(got.std_error, want.std_error);
+  EXPECT_EQ(got.ci_low, want.ci_low);
+  EXPECT_EQ(got.ci_high, want.ci_high);
+  EXPECT_EQ(got.significant, want.significant);
+  EXPECT_EQ(got.baseline, want.baseline);
+}
+
+struct Arms {
+  std::string name;
+  std::vector<double> treated;
+  std::vector<double> control;
+};
+
+std::vector<Arms> bit_identity_arms() {
+  stats::Rng rng(41);
+  std::vector<Arms> arms;
+  // Integer outcomes: every resample is mostly ties.
+  Arms ties{"heavy_ties", {}, {}};
+  for (int i = 0; i < 57; ++i) {
+    ties.treated.push_back(static_cast<double>(rng.uniform_int(4)));
+  }
+  for (int i = 0; i < 90; ++i) {
+    ties.control.push_back(static_cast<double>(rng.uniform_int(5)));
+  }
+  arms.push_back(ties);
+  // The smallest arms the estimator accepts, and unequal sizes.
+  Arms tiny{"ten_units", {}, {}};
+  for (int i = 0; i < 10; ++i) tiny.treated.push_back(rng.lognormal(1.0, 1.0));
+  for (int i = 0; i < 13; ++i) tiny.control.push_back(rng.normal(2.0, 1.0));
+  arms.push_back(tiny);
+  Arms unequal{"unequal_lognormal", {}, {}};
+  for (int i = 0; i < 1500; ++i) {
+    unequal.treated.push_back(rng.lognormal(3.0, 0.5) + 1.0);
+  }
+  for (int i = 0; i < 421; ++i) {
+    unequal.control.push_back(rng.lognormal(3.0, 0.6));
+  }
+  arms.push_back(unequal);
+  return arms;
+}
+
+constexpr double kBitIdentityQuantiles[] = {0.0, 0.01, 0.5, 0.9, 0.99, 1.0};
+
+TEST(QuantileEffects, RankCountMatchesSortedBootstrapBitForBit) {
+  QuantileEffectOptions options;
+  options.bootstrap_replicates = 150;
+  options.seed = 1234;
+  for (std::size_t threads : {1u, 4u}) {
+    util::Runner runner(threads);
+    for (const Arms& arms : bit_identity_arms()) {
+      for (double q : kBitIdentityQuantiles) {
+        SCOPED_TRACE(arms.name + " q=" + std::to_string(q) +
+                     " threads=" + std::to_string(threads));
+        expect_identical(quantile_treatment_effect(arms.treated, arms.control,
+                                                   q, options, &runner),
+                         sorted_reference(arms.treated, arms.control, q,
+                                          options, runner));
+      }
+    }
+  }
+}
+
+TEST(QuantileEffects, LadderMatchesSortedBootstrapBitForBit) {
+  QuantileEffectOptions options;
+  options.bootstrap_replicates = 150;
+  options.seed = 99;
+  for (std::size_t threads : {1u, 4u}) {
+    util::Runner runner(threads);
+    for (const Arms& arms : bit_identity_arms()) {
+      std::vector<Observation> rows;
+      const auto add = [&](double outcome, bool treated) {
+        Observation obs;
+        obs.treated = treated;
+        obs.outcome = outcome;
+        rows.push_back(obs);
+      };
+      // Interleave the arms so the row split has work to do.
+      for (std::size_t i = 0;
+           i < std::max(arms.treated.size(), arms.control.size()); ++i) {
+        if (i < arms.treated.size()) add(arms.treated[i], true);
+        if (i < arms.control.size()) add(arms.control[i], false);
+      }
+      const auto ladder =
+          quantile_effect_ladder(rows, kBitIdentityQuantiles, options, &runner);
+      ASSERT_EQ(ladder.size(), std::size(kBitIdentityQuantiles));
+      for (std::size_t i = 0; i < ladder.size(); ++i) {
+        SCOPED_TRACE(arms.name + " rung " + std::to_string(i) +
+                     " threads=" + std::to_string(threads));
+        QuantileEffectOptions rung = options;
+        rung.seed = options.seed + i + 1;
+        expect_identical(ladder[i].effect,
+                         sorted_reference(arms.treated, arms.control,
+                                          kBitIdentityQuantiles[i], rung,
+                                          runner));
+        expect_identical(quantile_treatment_effect(
+                             rows, kBitIdentityQuantiles[i], rung, &runner),
+                         ladder[i].effect);
+      }
+    }
+  }
+}
+
+TEST(QuantileEffects, NonFiniteOutcomesThrowNamingTheArm) {
+  auto rows = shifted_world(1.0, 0.0, 5);
+  const double qs[] = {0.5, 0.9};
+  const auto expect_arm_error = [&](const char* arm) {
+    for (int call = 0; call < 2; ++call) {
+      try {
+        if (call == 0) {
+          quantile_treatment_effect(rows, 0.5);
+        } else {
+          quantile_effect_ladder(rows, qs);
+        }
+        ADD_FAILURE() << "no exception for a non-finite " << arm << " outcome";
+      } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string(error.what()).find(arm), std::string::npos)
+            << error.what();
+      }
+    }
+  };
+  rows[4].outcome = std::numeric_limits<double>::quiet_NaN();  // treated
+  expect_arm_error("treated");
+  rows[4].outcome = 1.0;
+  rows[7].outcome = -std::numeric_limits<double>::infinity();  // control
+  expect_arm_error("control");
 }
 
 }  // namespace

@@ -57,9 +57,7 @@ EffectEstimate ranked_effect(const stats::RankedSample& treated,
   effect.ci_low = interval.low;
   effect.ci_high = interval.high;
   effect.significant = interval.low > 0.0 || interval.high < 0.0;
-  // Two-sided p-value is not produced by the percentile bootstrap; leave
-  // it at 1 unless the interval excludes zero (conventional shortcut).
-  effect.p_value = effect.significant ? 0.049 : 1.0;
+  effect.p_value = interval.p_value;
   effect.baseline = stats::quantile_sorted(control.sorted, q);
   return effect;
 }

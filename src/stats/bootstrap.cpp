@@ -86,6 +86,18 @@ BootstrapInterval summarize_replicates(double point,
   interval.low = quantile_sorted(replicates, alpha / 2.0);
   interval.high = quantile_sorted(replicates, 1.0 - alpha / 2.0);
   interval.std_error = stddev(replicates);
+  if (!replicates.empty()) {
+    const auto at_or_below =
+        std::upper_bound(replicates.begin(), replicates.end(), 0.0) -
+        replicates.begin();
+    const auto at_or_above =
+        replicates.end() -
+        std::lower_bound(replicates.begin(), replicates.end(), 0.0);
+    interval.p_value =
+        std::min(1.0, 2.0 * static_cast<double>(std::min(at_or_below,
+                                                         at_or_above)) /
+                          static_cast<double>(replicates.size()));
+  }
   return interval;
 }
 

@@ -29,6 +29,9 @@ struct BootstrapInterval {
   double low = 0.0;
   double high = 0.0;
   double std_error = 0.0;  ///< bootstrap standard deviation
+  /// Percentile-bootstrap two-sided p-value for "statistic = 0":
+  /// min(1, 2 * min(#replicates <= 0, #replicates >= 0) / replicates).
+  double p_value = 1.0;
 };
 
 /// Statistic of a single sample, e.g. the mean or a quantile.

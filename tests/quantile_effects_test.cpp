@@ -39,18 +39,22 @@ TEST(QuantileEffects, RecoversMedianShift) {
   const auto effect = quantile_treatment_effect(rows, 0.5);
   EXPECT_NEAR(effect.estimate, 5.0, 1.5);
   EXPECT_TRUE(effect.significant);
+  EXPECT_LT(effect.p_value, 0.05);
   EXPECT_LE(effect.ci_low, effect.estimate);
   EXPECT_GE(effect.ci_high, effect.estimate);
 }
 
 TEST(QuantileEffects, NullEffectUsuallyInsignificant) {
   int significant = 0;
+  int large_p = 0;
   for (int rep = 0; rep < 10; ++rep) {
     const auto rows = shifted_world(0.0, 0.0, 100 + rep);
-    significant +=
-        quantile_treatment_effect(rows, 0.5).significant;
+    const auto effect = quantile_treatment_effect(rows, 0.5);
+    significant += effect.significant;
+    large_p += effect.p_value > 0.05;
   }
   EXPECT_LE(significant, 2);
+  EXPECT_GE(large_p, 8);
 }
 
 TEST(QuantileEffects, TailOnlyEffectInvisibleAtMedian) {
@@ -110,6 +114,7 @@ EffectEstimate sorted_reference(std::span<const double> treated,
   effect.ci_low = interval.low;
   effect.ci_high = interval.high;
   effect.significant = interval.low > 0.0 || interval.high < 0.0;
+  effect.p_value = interval.p_value;
   effect.baseline = stats::quantile(control, q);
   return effect;
 }
@@ -120,6 +125,7 @@ void expect_identical(const EffectEstimate& got, const EffectEstimate& want) {
   EXPECT_EQ(got.ci_low, want.ci_low);
   EXPECT_EQ(got.ci_high, want.ci_high);
   EXPECT_EQ(got.significant, want.significant);
+  EXPECT_EQ(got.p_value, want.p_value);
   EXPECT_EQ(got.baseline, want.baseline);
 }
 
@@ -215,6 +221,48 @@ TEST(QuantileEffects, LadderMatchesSortedBootstrapBitForBit) {
                          ladder[i].effect);
       }
     }
+  }
+}
+
+TEST(QuantileEffects, PValueCountsReplicatesOnEachSideOfZero) {
+  // Record every replicate of the sort-based reference (one thread, so
+  // the recording needs no lock), then apply the percentile-bootstrap
+  // p-value formula by hand.
+  const auto rows = shifted_world(0.4, 0.0, 57);
+  std::vector<double> treated, control;
+  for (const Observation& row : rows) {
+    (row.treated ? treated : control).push_back(row.outcome);
+  }
+  QuantileEffectOptions options;
+  options.bootstrap_replicates = 300;
+  util::Runner runner(1);
+  for (double q : {0.5, 0.9}) {
+    std::vector<double> replicates;
+    const auto statistic = [&](std::span<const double> a,
+                               std::span<const double> b) {
+      const double value = stats::quantile(a, q) - stats::quantile(b, q);
+      replicates.push_back(value);
+      return value;
+    };
+    stats::Rng rng(options.seed);
+    stats::bootstrap_two_sample_ci(treated, control, statistic, rng,
+                                   options.bootstrap_replicates,
+                                   options.confidence_level, &runner);
+    replicates.pop_back();  // the point estimate, evaluated last
+    ASSERT_EQ(replicates.size(), options.bootstrap_replicates);
+    std::size_t at_or_below = 0, at_or_above = 0;
+    for (double r : replicates) {
+      at_or_below += r <= 0.0;
+      at_or_above += r >= 0.0;
+    }
+    const double expected = std::min(
+        1.0, 2.0 * static_cast<double>(std::min(at_or_below, at_or_above)) /
+                 static_cast<double>(replicates.size()));
+    const auto effect =
+        quantile_treatment_effect(treated, control, q, options, &runner);
+    EXPECT_EQ(effect.p_value, expected) << "q=" << q;
+    EXPECT_GT(effect.p_value, 0.0);
+    EXPECT_LT(effect.p_value, 1.0);
   }
 }
 

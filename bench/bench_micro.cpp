@@ -54,9 +54,9 @@ BENCHMARK(BM_OlsHourlyFeNeweyWest);
 
 void BM_QuantileLadderBootstrap(benchmark::State& state) {
   // The Section-2 tail-effect ladder (median / p90 / p99) over a
-  // session-sized observation table — the batched-resampling hot path
-  // behind every quantile figure. Single-threaded runner so the gate
-  // measures the kernel, not the fan-out.
+  // session-sized observation table — the rank-count bootstrap behind
+  // every quantile figure. Single-threaded runner so the gate measures
+  // the kernel, not the fan-out.
   xp::util::Runner runner(1);
   xp::stats::Rng rng(4);
   std::vector<xp::core::Observation> rows(4000);

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <iterator>
-#include <utility>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "util/runner.h"
@@ -104,9 +104,6 @@ BootstrapInterval summarize_replicates(double point,
 }  // namespace
 
 RankedSample::RankedSample(std::span<const double> sample) {
-  if (sample.size() > (std::uint64_t{1} << 32)) {
-    throw std::length_error("RankedSample: more than 2^32 values");
-  }
   // Sorting (value, index) pairs is a stable argsort: ties keep index order.
   std::vector<std::pair<double, std::uint32_t>> order(sample.size());
   for (std::size_t i = 0; i < sample.size(); ++i) {

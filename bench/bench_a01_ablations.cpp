@@ -1,4 +1,4 @@
-// Ablations for the design choices DESIGN.md calls out:
+// Ablations of the analysis and lab design choices:
 //  1. Newey-West truncation lag (the paper uses 2 hours).
 //  2. Switchback interval length (the paper recommends ~1 day).
 //  3. Bottleneck buffer depth in the lab (the paper's switch has 1 BDP).

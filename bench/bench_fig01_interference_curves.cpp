@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "lab/scenarios.h"
 #include "sim/dumbbell.h"
 
 namespace {
@@ -47,24 +46,23 @@ int main() {
   std::printf("  -> tau(p) constant and equal to TTE; SUTVA holds.\n");
 
   std::printf("\n(b) congestion interference (shared 10 Gb/s bottleneck):\n");
-  xp::lab::LabConfig config;
-  config.dumbbell.warmup = 3.0;
-  config.dumbbell.duration = 9.0;
-  const auto sweep = xp::lab::run_allocation_sweep(
-      xp::lab::Treatment::kTwoConnections, config);
+  const auto report = xp::bench::lab_sweep("dumbbell/two_connections");
   std::printf("%6s | %12s %12s %12s\n", "p", "mu_T(p)", "mu_C(p)",
               "tau(p)");
-  for (const auto& point : sweep) {
-    if (point.treated_count == 0 ||
-        point.treated_count == 10) {
-      continue;
-    }
-    std::printf("%6.1f | %9.1f Mbps %9.1f Mbps %9.1f Mbps\n",
-                point.allocation, point.mu_treated_throughput / 1e6,
-                point.mu_control_throughput / 1e6,
-                (point.mu_treated_throughput -
-                 point.mu_control_throughput) /
+  // Interior allocations only: the endpoints have a single arm.
+  for (std::size_t a = 1; a + 1 < report.allocations.size(); ++a) {
+    const auto* tau = xp::bench::step_effect(report, a, "avg throughput",
+                                             "tau");
+    std::printf("%6.1f | %9.1f Mbps %9.1f Mbps ", report.allocations[a],
+                xp::bench::arm_mean(report, a, "avg throughput", true) / 1e6,
+                xp::bench::arm_mean(report, a, "avg throughput", false) /
                     1e6);
+    // A one-app arm (p = 0.1, 0.9) has no Welch contrast: a null row.
+    if (tau->std_error > 0.0) {
+      std::printf("%9.1f Mbps\n", tau->estimate / 1e6);
+    } else {
+      std::printf("%12s\n", "n/a");
+    }
   }
   std::printf(
       "  -> both curves fall with p; tau(p) stays large while TTE "

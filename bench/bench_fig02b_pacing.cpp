@@ -3,48 +3,45 @@
 // TTE was ~0 — a treatment that A/B tests reject although deploying it
 // everywhere is harmless (and spillover-positive).
 //
-// NOTE (see EXPERIMENTS.md): in this simulator's droptail microphysics
-// the *sign* of the pacing ATE is inverted — paced flows dodge the
-// burst-clustered drops and win — but the interference structure the
-// figure demonstrates (large constant A/B effect at every p, TTE ~ 0,
-// opposite-sign spillover) is identical.
+// NOTE: in this simulator's droptail microphysics the *sign* of the
+// pacing ATE is inverted — paced flows dodge the burst-clustered drops
+// and win — but the interference structure the figure demonstrates
+// (large constant A/B effect at every p, TTE ~ 0, opposite-sign
+// spillover) is identical.
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "lab/scenarios.h"
 
 int main() {
   xp::bench::header(
       "Figure 2b — paced vs unpaced TCP Reno connections "
       "(10 connections, 10 Gb/s droptail bottleneck)");
 
-  xp::lab::LabConfig config;
-  config.dumbbell.warmup = 3.0;
-  config.dumbbell.duration = 11.0;
-  const auto sweep =
-      xp::lab::run_allocation_sweep(xp::lab::Treatment::kPacing, config);
+  const auto report = xp::bench::lab_sweep("dumbbell/pacing");
+  const auto mean = [&](std::size_t a, const char* metric, bool treated) {
+    return xp::bench::arm_mean(report, a, metric, treated);
+  };
 
-  std::printf("%6s %6s | %14s %14s | %12s %12s | %10s\n", "alloc", "#paced",
+  std::printf("%6s | %14s %14s | %12s %12s | %10s\n", "alloc",
               "tput_paced", "tput_unpaced", "retx_paced", "retx_unpaced",
               "agg_Gbps");
-  for (const auto& p : sweep) {
+  for (std::size_t a = 0; a < report.allocations.size(); ++a) {
     std::printf(
-        "%6.2f %6zu | %11.1f Mbps %11.1f Mbps | %11.4f%% %11.4f%% | %9.2f\n",
-        p.allocation, p.treated_count, p.mu_treated_throughput / 1e6,
-        p.mu_control_throughput / 1e6, p.mu_treated_retransmit * 100.0,
-        p.mu_control_retransmit * 100.0, p.aggregate_throughput / 1e9);
+        "%6.2f | %11.1f Mbps %11.1f Mbps | %11.4f%% %11.4f%% | %9.2f\n",
+        report.allocations[a], mean(a, "avg throughput", true) / 1e6,
+        mean(a, "avg throughput", false) / 1e6,
+        mean(a, "% retransmitted bytes", true) * 100.0,
+        mean(a, "% retransmitted bytes", false) * 100.0,
+        report.cell(a, 0).table.aggregate("aggregate_throughput_bps") / 1e9);
   }
 
-  const auto& all_control = sweep.front();
-  const auto& all_treated = sweep.back();
+  const auto& gradual = report.estimates_for("gradual/contrast");
   std::printf("\nTTE (all paced vs all unpaced):\n");
   std::printf("  throughput: %+5.1f%%   (paper: ~0%%)\n",
-              100.0 * (all_treated.mu_treated_throughput /
-                           all_control.mu_control_throughput -
-                       1.0));
-  std::printf("  retransmit: %+5.1f%%  (paper: large decrease)\n",
-              100.0 * (all_treated.mu_treated_retransmit /
-                           std::max(1e-9, all_control.mu_control_retransmit) -
-                       1.0));
+              100.0 * gradual.row("avg throughput/tte").effect().relative());
+  std::printf(
+      "  retransmit: %+5.1f%%  (paper: large decrease)\n",
+      100.0 *
+          gradual.row("% retransmitted bytes/tte").effect().relative());
   return 0;
 }

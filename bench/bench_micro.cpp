@@ -14,7 +14,6 @@
 #include "core/quantile_effects.h"
 #include "lab/experiment.h"
 #include "lab/fleet_scenarios.h"
-#include "lab/scenarios.h"
 #include "util/runner.h"
 #include "sim/dumbbell.h"
 #include "sim/event_queue.h"
@@ -196,16 +195,16 @@ BENCHMARK(BM_HourlyAggregation)->Unit(benchmark::kMillisecond);
 
 void BM_RunnerAllocationSweep(benchmark::State& state) {
   // Wall-clock scaling of the Figure 2 sweep across thread counts; each
-  // point is an independent deterministic simulator run.
+  // point is an independent deterministic simulator run. A sliver of the
+  // canonical horizon keeps one sweep in the tens of milliseconds.
   xp::util::Runner runner(static_cast<std::size_t>(state.range(0)));
-  xp::lab::LabConfig config;
-  config.dumbbell.bottleneck_bps = 500e6;
-  config.dumbbell.warmup = 0.25;
-  config.dumbbell.duration = 1.0;
-  config.num_apps = 7;
+  xp::lab::ExperimentSpec spec;
+  spec.scenario = "dumbbell/two_connections";
+  spec.tuning.duration_scale = 0.01;
+  spec.allocations = {0.0, 0.1, 0.2, 0.3, 0.4, 0.5,
+                      0.6, 0.7, 0.8, 0.9, 1.0};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(xp::lab::run_allocation_sweep(
-        xp::lab::Treatment::kTwoConnections, config, runner));
+    benchmark::DoNotOptimize(xp::lab::run_experiment(spec, runner));
   }
 }
 BENCHMARK(BM_RunnerAllocationSweep)

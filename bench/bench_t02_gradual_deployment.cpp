@@ -1,48 +1,82 @@
 // Section 5.1: using a gradual deployment as an event-study instrument.
 // Ramp the parallel-connections treatment through increasing allocations,
 // estimate tau(p) / rho(p) / s(p) at every step, and run the SUTVA test
-// battery. Also the switchback-interval ablation from DESIGN.md: A/A
-// false-positive counts for day-level switchbacks vs event studies.
+// battery. Also the A/A calibration of Section 5.3: false-positive counts
+// for day-level switchbacks vs event studies on baseline data.
+#include <cmath>
 #include <cstdio>
 
 #include "bench/bench_util.h"
 #include "core/aa_test.h"
 #include "core/designs/gradual.h"
-#include "lab/scenarios.h"
+#include "lab/experiment.h"
+
+namespace {
+
+/// A headline step estimate, NaN when the step has no Welch contrast (a
+/// one-app arm gives a null row; p = 0 has no tau row at all).
+double step_estimate(const xp::lab::ExperimentReport& report, std::size_t a,
+                     const char* label) {
+  const auto* effect =
+      xp::bench::step_effect(report, a, "avg throughput", label);
+  return effect != nullptr && effect->std_error > 0.0 ? effect->estimate
+                                                      : std::nan("");
+}
+
+void print_mbps(double bps) {
+  if (std::isnan(bps)) {
+    std::printf(" %10s", "n/a");
+  } else {
+    std::printf(" %7.0f Mb", bps / 1e6);
+  }
+}
+
+}  // namespace
 
 int main() {
   xp::bench::header(
       "Gradual deployment (Section 5.1) — parallel-connections treatment "
       "ramp, 10 Gb/s lab");
 
-  xp::lab::LabConfig config;
-  config.dumbbell.warmup = 2.0;
-  config.dumbbell.duration = 8.0;
-  const auto scenario = xp::lab::make_lab_scenario(
-      xp::lab::Treatment::kTwoConnections, xp::lab::LabMetric::kThroughput,
-      config);
-  xp::core::GradualOptions options;
-  options.allocations = {0.1, 0.3, 0.5, 0.7, 0.9};
-  options.replications = 3;
-  const auto report = xp::core::run_gradual_deployment(scenario, options);
+  xp::lab::ExperimentSpec spec;
+  spec.scenario = "dumbbell/two_connections";
+  // p = 0 is the pre-deployment world that anchors mu_C(0).
+  spec.allocations = {0.0, 0.1, 0.3, 0.5, 0.7, 0.9};
+  spec.replicates = 3;
+  spec.estimators = {"gradual/contrast"};
+  const auto report = xp::lab::run_experiment(spec);
+  const auto& gradual = report.estimates_for("gradual/contrast");
 
   std::printf("%6s | %10s %10s | %10s %10s %10s\n", "p", "mu_T", "mu_C",
               "tau(p)", "rho(p)", "s(p)");
-  for (const auto& step : report.steps) {
-    std::printf("%6.2f | %7.0f Mb %7.0f Mb | %7.0f Mb %7.0f Mb %7.0f Mb\n",
-                step.allocation, step.mu_treated / 1e6,
-                step.mu_control / 1e6, step.tau.estimate / 1e6,
-                step.rho.estimate / 1e6, step.spillover.estimate / 1e6);
+  std::size_t steps = 0;
+  for (std::size_t a = 1; a < report.allocations.size(); ++a) {
+    const double tau = step_estimate(report, a, "tau");
+    const double spillover = step_estimate(report, a, "spillover");
+    std::printf("%6.2f | %7.0f Mb %7.0f Mb |", report.allocations[a],
+                xp::bench::arm_mean(report, a, "avg throughput", true) / 1e6,
+                xp::bench::arm_mean(report, a, "avg throughput", false) /
+                    1e6);
+    print_mbps(tau);
+    // rho(p) = mu_T(p) - mu_C(0) = tau(p) + s(p) exactly.
+    print_mbps(tau + spillover);
+    print_mbps(spillover);
+    std::printf("\n");
+    if (!std::isnan(spillover)) ++steps;
   }
-  std::printf("\nfinal-step TTE proxy: %+0.1f%% of baseline (true TTE: 0)\n",
-              100.0 * report.tte.relative());
+  const auto& tte = gradual.row("avg throughput/tte");
+  const auto tte_spread = xp::core::relative_spread(tte);
+  std::printf(
+      "\ntop-step TTE proxy: %+0.1f%% of baseline (replicates %+0.1f%% .. "
+      "%+0.1f%%; true TTE: 0)\n",
+      100.0 * tte.effect().relative(), 100.0 * tte_spread.min,
+      100.0 * tte_spread.max);
+  const auto tests = xp::core::sutva_tests(gradual, "avg throughput");
   std::printf(
       "SUTVA battery: max tau-inequality z = %.1f, significant spillovers "
-      "= %zu/%zu, max rho-vs-tau z = %.1f -> interference %s\n",
-      report.tests.max_tau_inequality_z,
-      report.tests.significant_spillovers, report.steps.size(),
-      report.tests.max_partial_vs_average_z,
-      report.tests.interference_detected ? "DETECTED" : "not detected");
+      "= %zu/%zu -> interference %s\n",
+      tests.max_tau_inequality_z, tests.significant_spillovers, steps,
+      tests.interference_detected ? "DETECTED" : "not detected");
 
   // --- A/A design calibration (Section 5.3) ---
   xp::bench::header(

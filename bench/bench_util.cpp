@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/analysis.h"
 #include "lab/registry.h"
 #include "stats/descriptive.h"
 #include "util/runner.h"
@@ -43,6 +44,35 @@ std::pair<video::ClusterResult, video::ClusterResult> baseline_and_experiment(
     }
   });
   return results;
+}
+
+lab::ExperimentReport lab_sweep(const std::string& scenario) {
+  lab::ExperimentSpec spec;
+  spec.scenario = scenario;
+  spec.allocations = {0.0, 0.1, 0.2, 0.3, 0.4, 0.5,
+                      0.6, 0.7, 0.8, 0.9, 1.0};
+  spec.estimators = {"gradual/contrast"};
+  return lab::run_experiment(spec);
+}
+
+double arm_mean(const lab::ExperimentReport& report, std::size_t a,
+                std::string_view metric, bool treated) {
+  return core::arm_mean(report.cell(a, 0).table.column(metric), treated);
+}
+
+const core::EffectEstimate* step_effect(const lab::ExperimentReport& report,
+                                        std::size_t a,
+                                        std::string_view metric,
+                                        std::string_view label) {
+  const std::string prefix = std::string(label) + "@";
+  for (const core::EstimateRow* row :
+       report.estimates_for("gradual/contrast").metric_rows(metric)) {
+    if (row->allocation == report.allocations[a] &&
+        row->label.starts_with(prefix)) {
+      return &row->effect();
+    }
+  }
+  return nullptr;
 }
 
 lab::ExperimentReport bootstrap_weeks(const std::string& scenario,

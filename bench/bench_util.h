@@ -42,6 +42,25 @@ lab::ExperimentReport bootstrap_weeks(
     std::vector<std::string> estimators = {}, std::uint64_t seed = 2021,
     double duration_scale = 1.0);
 
+/// The Figure 2/3 allocation sweep over a dumbbell/* scenario: one
+/// canonical lab world at each allocation p = 0, 0.1, ..., 1.0, read with
+/// the gradual/contrast estimator (tau@p, spillover@p and tte rows).
+lab::ExperimentReport lab_sweep(const std::string& scenario);
+
+/// Mean of `metric` over one arm of the first replicate world at
+/// allocation index `a` (0 for an empty arm).
+double arm_mean(const lab::ExperimentReport& report, std::size_t a,
+                std::string_view metric, bool treated);
+
+/// The headline gradual/contrast estimate of one sweep step: the
+/// "<metric>/<label>@p" row ("tau" or "spillover") at allocation index
+/// `a`, or nullptr when the estimator emits no such row (no tau at the
+/// p = 0 baseline world, no spillover at the lowest allocation).
+const core::EffectEstimate* step_effect(const lab::ExperimentReport& report,
+                                        std::size_t a,
+                                        std::string_view metric,
+                                        std::string_view label);
+
 /// Across-week spread of a per-week statistic.
 struct WeekSpread {
   double mean = 0.0;

@@ -4,8 +4,8 @@
 // The interface lives in core/ (like ObservationTable, its return type)
 // so layers *below* lab/ can implement a backend — the trace-replay layer
 // (src/trace/) is exactly that: a DataSource fed by recorded session logs
-// instead of a simulator. lab/datasource.h re-exports the name so data
-// sources and the registry keep spelling lab::DataSource.
+// instead of a simulator. Every source, recorded or simulated, honors
+// the registry's SourceOptions::duration_scale (lab/registry.h).
 #pragma once
 
 #include <cstdint>

@@ -1,75 +1,35 @@
 // Gradual deployments as measurement instruments (Section 5.1).
 //
 // A gradual deployment is a sequence of A/B tests at increasing
-// allocations p1 < p2 < ... At each step we can estimate the average
-// treatment effect tau(p), the partial treatment effect
-// rho(p) = mu_T(p) - mu_C(0), and the spillover s(p) = mu_C(p) - mu_C(0),
-// where mu_C(0) comes from the pre-deployment (p ~ 0) step. Under SUTVA
-// all tau(p) are equal, rho(p) == tau(p), and s(p) == 0 — giving a test
-// battery for congestion interference.
+// allocations p1 < p2 < ... The gradual/contrast estimator
+// (core/estimator.h) reads one off an allocation sweep: the within-step
+// average treatment effect tau(p) at every allocation, the spillover
+// s(p) = mu_C(p) - mu_C(0) of each step's control arm against the
+// lowest-allocation control world, and the cross-allocation TTE. Under
+// SUTVA all tau(p) are equal and s(p) == 0 — giving a test battery for
+// congestion interference. The partial effect rho(p) = mu_T(p) - mu_C(0)
+// adds no test of its own: rho(p) - tau(p) = s(p) exactly.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <span>
-#include <vector>
+#include <cstddef>
+#include <string_view>
 
-#include "core/analysis.h"
-#include "core/estimands.h"
-#include "core/observation.h"
+#include "core/estimate_table.h"
 
 namespace xp::core {
-
-/// A scenario runs the world at treatment allocation p and returns unit
-/// observations of one metric. The lab (sim/) and video substrates both
-/// provide these.
-using Scenario =
-    std::function<std::vector<Observation>(double p, std::uint64_t seed)>;
-
-struct GradualStep {
-  double allocation = 0.0;
-  double mu_treated = 0.0;     ///< mean treated outcome at p
-  double mu_control = 0.0;     ///< mean control outcome at p
-  EffectEstimate tau;          ///< within-step A/B estimate
-  EffectEstimate rho;          ///< mu_T(p) - mu_C(0)
-  EffectEstimate spillover;    ///< mu_C(p) - mu_C(0)
-};
 
 struct SutvaTests {
   /// Largest |z| for pairwise tau(p_i) == tau(p_j).
   double max_tau_inequality_z = 0.0;
   /// Number of allocations with statistically significant spillover.
   std::size_t significant_spillovers = 0;
-  /// Largest |z| for rho(p) == tau(p).
-  double max_partial_vs_average_z = 0.0;
   /// Overall verdict at ~2-sigma.
   bool interference_detected = false;
 };
 
-struct GradualReport {
-  std::vector<GradualStep> steps;
-  EffectEstimate tte;  ///< final step (p ~ 1) treated vs baseline control
-  SutvaTests tests;
-};
-
-struct GradualOptions {
-  std::vector<double> allocations = {0.02, 0.05, 0.10, 0.25,
-                                     0.50, 0.75, 0.95};
-  /// Independent runs pooled per allocation. Small testbeds (10 apps)
-  /// leave minority arms with 1-2 units; replication restores power — the
-  /// paper's lab likewise repeats each test.
-  std::size_t replications = 3;
-  std::uint64_t seed = 1;
-  AnalysisOptions analysis;
-};
-
-/// Ramp the scenario through the allocations and assemble the report.
-/// The scenario is also run at p ~= 0 (allocations.front() treated as the
-/// baseline control world uses p = 0 exactly) to obtain mu_C(0).
-GradualReport run_gradual_deployment(const Scenario& scenario,
-                                     const GradualOptions& options = {});
-
-/// Compute the SUTVA test battery from per-step estimates.
-SutvaTests sutva_tests(std::span<const GradualStep> steps);
+/// The SUTVA battery over the headline (replicate 0) "tau@p" and
+/// "spillover@p" rows of `metric` in a gradual/contrast table. Null rows
+/// (degenerate steps, std_error = 0) are skipped.
+SutvaTests sutva_tests(const EstimateTable& table, std::string_view metric);
 
 }  // namespace xp::core

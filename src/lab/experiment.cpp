@@ -29,7 +29,7 @@ void check(bool ok, const std::string& field, const std::string& requirement) {
 /// after the in-flight cells finish). A blown work budget is terminal
 /// under every policy: util::BudgetExceeded is deterministic in
 /// (config, seed), so retrying or aborting the sweep over it is noise.
-void run_cell(core::ExperimentCell& cell, const DataSource& source,
+void run_cell(core::ExperimentCell& cell, const core::DataSource& source,
               std::uint64_t base_seed, const FailurePolicy& policy) {
   const std::uint32_t max_attempts =
       policy.mode == FailurePolicy::Mode::kRetry ? policy.max_attempts : 1;
@@ -48,7 +48,7 @@ void run_cell(core::ExperimentCell& cell, const DataSource& source,
     } catch (const util::BudgetExceeded& e) {
       cell.status.error = e.what();
       cell.status.state = core::CellState::kBudgetExceeded;
-      cell.table = ObservationTable{};
+      cell.table = core::ObservationTable{};
       return;
     } catch (const std::exception& e) {
       cell.status.error = e.what();
@@ -68,7 +68,7 @@ void run_cell(core::ExperimentCell& cell, const DataSource& source,
       cell.status.state = core::CellState::kFailed;
       break;
   }
-  cell.table = ObservationTable{};
+  cell.table = core::ObservationTable{};
 }
 
 }  // namespace
@@ -130,7 +130,7 @@ ExperimentReport run_experiment(const ExperimentSpec& spec,
 ExperimentReport run_experiment(const ExperimentSpec& spec,
                                 const JournalOptions& journal_options,
                                 util::Runner& runner) {
-  const std::unique_ptr<DataSource> source =
+  const std::unique_ptr<core::DataSource> source =
       make_scenario(spec.scenario, spec.tuning);
   // Resolve every estimator key up front: an unknown key throws (listing
   // the registered alternatives) before any simulation work starts.

@@ -40,7 +40,7 @@ struct Fnv {
   void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
 };
 
-class FleetSource final : public DataSource {
+class FleetSource final : public core::DataSource {
  public:
   FleetSource(std::string name, video::FleetConfig fleet,
               util::RunBudget budget)
@@ -52,8 +52,8 @@ class FleetSource final : public DataSource {
     return fleet_.base.treat_probability[0];
   }
 
-  ObservationTable run(double allocation,
-                       std::uint64_t seed) const override {
+  core::ObservationTable run(double allocation,
+                             std::uint64_t seed) const override {
     video::FleetConfig fleet = fleet_;
     fleet.seed = seed;
     fleet.base.treat_probability[0] = allocation;

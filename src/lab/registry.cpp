@@ -22,7 +22,7 @@ namespace {
 // ------------------------------------------------------------- builtins ----
 
 /// Section 3 dumbbell lab: one treatment, columns for every app metric.
-class DumbbellSource final : public DataSource {
+class DumbbellSource final : public core::DataSource {
  public:
   DumbbellSource(std::string name, Treatment treatment, LabConfig config)
       : name_(std::move(name)), treatment_(treatment), config_(config) {}
@@ -30,15 +30,15 @@ class DumbbellSource final : public DataSource {
   std::string_view name() const noexcept override { return name_; }
   double default_allocation() const noexcept override { return 0.5; }
 
-  ObservationTable run(double allocation,
-                       std::uint64_t seed) const override {
+  core::ObservationTable run(double allocation,
+                             std::uint64_t seed) const override {
     LabConfig config = config_;
     config.seed = seed;
     const auto treated_count = static_cast<std::size_t>(std::lround(
         allocation * static_cast<double>(config.num_apps)));
     const LabRun lab = run_lab(treatment_, treated_count, config);
 
-    ObservationTable table;
+    core::ObservationTable table;
     const auto add = [&](core::Metric metric, auto value_of) {
       std::vector<core::Observation> rows;
       rows.reserve(lab.units.size());
@@ -81,7 +81,7 @@ class DumbbellSource final : public DataSource {
 
 /// Section 4 paired-link cluster week: columns for the full telemetry
 /// metric set, plus the hourly diagnostics as series.
-class PairedLinkSource final : public DataSource {
+class PairedLinkSource final : public core::DataSource {
  public:
   PairedLinkSource(std::string name, video::ClusterConfig config,
                    bool allocation_sets_treatment, bool streaming = false)
@@ -95,15 +95,15 @@ class PairedLinkSource final : public DataSource {
     return allocation_sets_treatment_ ? config_.treat_probability[0] : 0.0;
   }
 
-  ObservationTable run(double allocation,
-                       std::uint64_t seed) const override {
+  core::ObservationTable run(double allocation,
+                             std::uint64_t seed) const override {
     video::ClusterConfig config = config_;
     config.seed = seed;
     if (allocation_sets_treatment_) {
       config.treat_probability[0] = allocation;
       config.treat_probability[1] = 1.0 - allocation;
     }
-    ObservationTable table;
+    core::ObservationTable table;
     video::ClusterResult result;
     if (streaming_) {
       // Streaming mode: fold each retiring session into hourly-cell
@@ -357,20 +357,12 @@ void register_scenario(std::string name, SourceFactory factory) {
   registry().add(std::move(name), std::move(factory));
 }
 
-std::unique_ptr<DataSource> make_scenario(std::string_view name,
-                                          const SourceOptions& options) {
+std::unique_ptr<core::DataSource> make_scenario(
+    std::string_view name, const SourceOptions& options) {
   return registry().find(name)(options);
 }
 
 std::vector<std::string> scenario_names() { return registry().names(); }
-
-core::Scenario as_scenario(std::shared_ptr<const DataSource> source,
-                           std::string metric) {
-  return [source = std::move(source), metric = std::move(metric)](
-             double p, std::uint64_t seed) {
-    return source->run(p, seed).column(metric);
-  };
-}
 
 LabConfig canonical_lab_config() {
   LabConfig config;  // 10 Gb/s dumbbell, 10 apps, 3 s warmup + 10 s window

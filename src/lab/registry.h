@@ -51,8 +51,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/designs/gradual.h"
-#include "lab/datasource.h"
+#include "core/datasource.h"
 #include "lab/scenarios.h"
 #include "util/budget.h"
 #include "video/cluster.h"
@@ -62,9 +61,10 @@ namespace xp::lab {
 /// Knobs every factory honors. duration_scale shrinks the simulated
 /// horizon proportionally (dumbbell warmup+duration, cluster days);
 /// 1.0 is the paper-scale canonical run, tests use ~0.05 smoke runs.
-/// Non-generative sources must honor it too: trace replay truncates the
-/// replayed horizon to duration_scale x the recorded one (never silently
-/// ignores it — smoke tests rely on this; see lab/datasource.h).
+/// Non-generative sources must honor it too, never silently ignore it:
+/// trace replay truncates the replayed horizon, replaying only sessions
+/// that arrive in the first duration_scale x recorded-horizon seconds of
+/// the log, so smoke-scale specs stay cheap over recorded data too.
 struct SourceOptions {
   double duration_scale = 1.0;
   /// Session-log file for the trace/replay scenario (see src/trace/);
@@ -94,23 +94,18 @@ struct SourceOptions {
 };
 
 using SourceFactory =
-    std::function<std::unique_ptr<DataSource>(const SourceOptions&)>;
+    std::function<std::unique_ptr<core::DataSource>(const SourceOptions&)>;
 
 /// Publish a scenario. Throws std::invalid_argument on duplicate names.
 void register_scenario(std::string name, SourceFactory factory);
 
 /// Instantiate a registered scenario. Unknown names throw
 /// std::invalid_argument listing every registered scenario.
-std::unique_ptr<DataSource> make_scenario(std::string_view name,
-                                          const SourceOptions& options = {});
+std::unique_ptr<core::DataSource> make_scenario(
+    std::string_view name, const SourceOptions& options = {});
 
 /// Sorted names of all registered scenarios (built-ins included).
 std::vector<std::string> scenario_names();
-
-/// Adapt one metric column of a data source into the core::Scenario
-/// callable the designs in core/designs/ consume.
-core::Scenario as_scenario(std::shared_ptr<const DataSource> source,
-                           std::string metric);
 
 /// Canonical configurations (the single source of truth).
 LabConfig canonical_lab_config();

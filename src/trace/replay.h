@@ -23,7 +23,8 @@
 // recorded design so the SRM guardrail tests the right null.
 // SourceOptions::duration_scale is honored by truncating the replayed
 // horizon at construction: only sessions arriving before
-// duration_scale x recorded-horizon replay (see lab/datasource.h).
+// duration_scale x recorded-horizon replay (the rule is stated on
+// SourceOptions in lab/registry.h).
 #pragma once
 
 #include <array>

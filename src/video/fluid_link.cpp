@@ -210,23 +210,13 @@ std::vector<double> max_min_fair_allocation(std::span<const double> demands,
   return alloc;
 }
 
-void FluidLink::allocate_and_advance(std::span<const double> demands,
-                                     double desired_load_bps, double dt,
-                                     std::vector<double>& alloc) {
-  alloc.resize(demands.size());
-  // Effective capacity = nominal x fault factor; at the default factor of
-  // exactly 1.0 the multiply is IEEE-identical to the nominal path, so
-  // fault-free worlds stay bit-for-bit unchanged.
-  const double cap = config_.capacity_bps * capacity_factor_;
-  const double delivered =
-      max_min_fair_allocation_into(demands, cap, alloc, order_scratch_);
-  advance_queue(delivered, cap, desired_load_bps, dt);
-}
-
 std::span<const double> FluidLink::allocate_and_advance(
     std::span<const double> demands, double desired_load_bps,
     double demand_sum_bps, std::size_t demand_positive, double dt,
     std::vector<double>& alloc) {
+  // Effective capacity = nominal x fault factor; at the default factor of
+  // exactly 1.0 the multiply is IEEE-identical to the nominal path, so
+  // fault-free worlds stay bit-for-bit unchanged.
   const double cap = config_.capacity_bps * capacity_factor_;
   // Undersubscribed (the off-peak majority of ticks): with non-negative
   // demands the grant vector IS the demand vector, so hand it straight
@@ -265,13 +255,6 @@ void FluidLink::advance_queue(double delivered, double cap,
   const double a_q = std::min(1.0, dt / config_.queue_tau);
   queue_bytes_ += a_q * (target - queue_bytes_);
   queue_bytes_ = std::clamp(queue_bytes_, 0.0, buffer_bytes);
-}
-
-std::vector<double> FluidLink::allocate_and_advance(
-    std::span<const double> demands, double desired_load_bps, double dt) {
-  std::vector<double> alloc;
-  allocate_and_advance(demands, desired_load_bps, dt, alloc);
-  return alloc;
 }
 
 double FluidLink::queueing_delay() const noexcept {

@@ -59,30 +59,19 @@ class FluidLink {
   /// standing-queue dynamics by `dt` seconds given `desired_load_bps`,
   /// the aggregate congestion-free consumption the sessions want.
   ///
-  /// Hot-path form: grants are written into the caller-owned `alloc`
-  /// (resized to demands.size(); its capacity — and the link's internal
-  /// water-filling scratch — is reused across ticks, so the steady-state
-  /// tick allocates nothing).
-  void allocate_and_advance(std::span<const double> demands,
-                            double desired_load_bps, double dt,
-                            std::vector<double>& alloc);
-
-  /// Presummed hot-path form: callers that already swept the demand array
-  /// (the pool's gather pass) hand over the positive-demand sum and count
-  /// so the water-fill skips its own first pass. Requires non-negative
-  /// demands (`demand_sum_bps` is then their plain sum). Returns the
-  /// grant span: `demands` itself when the link is undersubscribed
-  /// (grants == demands, no copy), `alloc` after a water-fill otherwise —
-  /// consume the return value, not `alloc`.
+  /// Callers that already swept the demand array (the pool's gather
+  /// pass) hand over the positive-demand sum and count so the water-fill
+  /// skips its own first pass. Requires non-negative demands
+  /// (`demand_sum_bps` is then their plain sum). Returns the grant span:
+  /// `demands` itself when the link is undersubscribed (grants ==
+  /// demands, no copy), `alloc` after a water-fill otherwise — consume
+  /// the return value, not `alloc`. `alloc` and the link's internal
+  /// water-filling scratch are reused across ticks, so the steady-state
+  /// tick allocates nothing.
   std::span<const double> allocate_and_advance(
       std::span<const double> demands, double desired_load_bps,
       double demand_sum_bps, std::size_t demand_positive, double dt,
       std::vector<double>& alloc);
-
-  /// Convenience form returning a fresh vector (tests, one-off callers).
-  std::vector<double> allocate_and_advance(std::span<const double> demands,
-                                           double desired_load_bps,
-                                           double dt);
 
   /// Current round-trip time including the standing queue.
   double rtt() const noexcept;
@@ -122,8 +111,8 @@ class FluidLink {
   }
 
  private:
-  /// Shared tail of both allocate_and_advance forms: utilization +
-  /// standing-queue relaxation.
+  /// Tail of allocate_and_advance: utilization + standing-queue
+  /// relaxation.
   void advance_queue(double delivered, double cap, double desired_load_bps,
                      double dt) noexcept;
 
@@ -132,8 +121,6 @@ class FluidLink {
   double queue_bytes_ = 0.0;
   double last_utilization_ = 0.0;
   double rho_ = 0.0;
-  /// Water-filling sort scratch, reused across ticks.
-  std::vector<std::uint32_t> order_scratch_;
   /// Water-level refinement scratch (above-level survivors), reused across
   /// ticks so oversubscribed peak-hour ticks stay allocation-free.
   std::vector<double> refine_scratch_;

@@ -2,17 +2,24 @@
 // through the spec -> data -> estimate pipeline and is bit-for-bit
 // identical at any thread count; unknown keys fail with a clear error
 // naming the alternatives; ExperimentReport::cell rejects bad indices
-// with the scenario name and the requested vs available shape.
+// with the scenario name and the requested vs available shape; and
+// gradual/contrast + core::sutva_tests tell a SUTVA world from a
+// congested zero-sum one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/designs/gradual.h"
 #include "core/estimator.h"
 #include "lab/experiment.h"
 #include "lab/registry.h"
+#include "stats/rng.h"
 #include "util/runner.h"
 
 namespace xp {
@@ -257,6 +264,106 @@ TEST(Report, CellRangeErrorsNameTheScenarioAndShape) {
     EXPECT_NE(message.find("1 allocation(s)"), std::string::npos) << message;
     EXPECT_NE(message.find("2 replicate(s)"), std::string::npos) << message;
   }
+}
+
+// --- Gradual deployment on synthetic worlds (Section 5.1) ---
+
+enum class World { kSutva, kZeroSum };
+
+/// 4000 units at allocation p, pure in (allocation, seed). The SUTVA
+/// world adds a constant effect of 5 with no interference; the zero-sum
+/// world is a congested link in miniature — treated units claim twice the
+/// share of a fixed total, so they gain exactly what the controls lose
+/// (the parallel-connections phenomenon).
+class SyntheticWorld final : public core::DataSource {
+ public:
+  SyntheticWorld(std::string name, World world)
+      : name_(std::move(name)), world_(world) {}
+
+  std::string_view name() const noexcept override { return name_; }
+  double default_allocation() const noexcept override { return 0.5; }
+
+  core::ObservationTable run(double allocation,
+                             std::uint64_t seed) const override {
+    stats::Rng rng(seed);
+    const std::size_t n = 4000;
+    std::vector<core::Observation> rows(n);
+    double share_total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      rows[i].unit = i;
+      rows[i].account = i;
+      rows[i].treated = rng.bernoulli(allocation);
+      share_total += rows[i].treated ? 2.0 : 1.0;
+    }
+    for (core::Observation& row : rows) {
+      row.outcome =
+          world_ == World::kSutva
+              ? 50.0 + (row.treated ? 5.0 : 0.0) + rng.normal(0.0, 3.0)
+              : 1000.0 * static_cast<double>(n) *
+                        (row.treated ? 2.0 : 1.0) / share_total +
+                    rng.normal(0.0, 20.0);
+    }
+    core::ObservationTable table;
+    table.add_column("outcome", std::move(rows));
+    return table;
+  }
+
+ private:
+  std::string name_;
+  World world_;
+};
+
+/// A gradual ramp over one synthetic world: p = 0 is the pre-deployment
+/// baseline world that anchors mu_C(0).
+core::EstimateTable gradual_ramp(const char* scenario) {
+  static const bool registered = [] {
+    const auto add = [](const char* name, World world) {
+      lab::register_scenario(name, [name, world](const lab::SourceOptions&) {
+        return std::make_unique<SyntheticWorld>(name, world);
+      });
+    };
+    add("test/sutva_world", World::kSutva);
+    add("test/zero_sum_world", World::kZeroSum);
+    return true;
+  }();
+  (void)registered;
+  lab::ExperimentSpec spec;
+  spec.scenario = scenario;
+  spec.allocations = {0.0, 0.1, 0.5, 0.9};
+  spec.estimators = {"gradual/contrast"};
+  spec.seed = 1;
+  return lab::run_experiment(spec).estimates_for("gradual/contrast");
+}
+
+TEST(Gradual, SutvaWorldShowsNoInterference) {
+  const core::EstimateTable table = gradual_ramp("test/sutva_world");
+  for (const char* p : {"@0.1", "@0.5", "@0.9"}) {
+    SCOPED_TRACE(p);
+    EXPECT_NEAR(table.row(std::string("outcome/tau") + p).effect().estimate,
+                5.0, 0.6);
+  }
+  EXPECT_NEAR(table.row("outcome/tte").effect().estimate, 5.0, 0.6);
+  EXPECT_FALSE(core::sutva_tests(table, "outcome").interference_detected);
+}
+
+TEST(Gradual, ZeroSumWorldDetectsInterference) {
+  const core::EstimateTable table = gradual_ramp("test/zero_sum_world");
+  // The A/B effect looks big at every allocation...
+  for (const char* p : {"@0.1", "@0.5", "@0.9"}) {
+    SCOPED_TRACE(p);
+    EXPECT_GT(table.row(std::string("outcome/tau") + p).effect().estimate,
+              200.0);
+  }
+  // ...but the true TTE is ~0 and spillover is negative and significant.
+  // (The ramp tops out at p=0.9, where mu_T = 2/(1.9) of baseline, so the
+  // top-step TTE legitimately sits ~5% above zero.)
+  EXPECT_NEAR(table.row("outcome/tte").effect().relative(), 0.0, 0.07);
+  const core::SutvaTests tests = core::sutva_tests(table, "outcome");
+  EXPECT_TRUE(tests.interference_detected);
+  EXPECT_GT(tests.significant_spillovers, 0u);
+  // tau(p) shrinks as p grows: 2C/n winners dilute.
+  EXPECT_GT(table.row("outcome/tau@0.1").effect().estimate,
+            table.row("outcome/tau@0.9").effect().estimate);
 }
 
 }  // namespace

@@ -1,64 +1,15 @@
-// Experiment framework: assignment, analysis pipelines, estimator
-// behaviour on synthetic worlds with *known* ground truth.
+// Experiment framework: analysis pipelines and estimator behaviour on
+// synthetic worlds with *known* ground truth.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/analysis.h"
-#include "core/assignment.h"
-#include "core/designs/gradual.h"
 #include "core/estimands.h"
 #include "stats/rng.h"
 
 namespace xp::core {
 namespace {
-
-TEST(Assignment, HashAssignDeterministic) {
-  for (std::uint64_t unit = 0; unit < 50; ++unit) {
-    EXPECT_EQ(hash_assign(unit, 7, 0.3), hash_assign(unit, 7, 0.3));
-  }
-}
-
-TEST(Assignment, HashAssignFrequency) {
-  int treated = 0;
-  const int n = 100000;
-  for (int unit = 0; unit < n; ++unit) treated += hash_assign(unit, 42, 0.2);
-  EXPECT_NEAR(static_cast<double>(treated) / n, 0.2, 0.01);
-}
-
-TEST(Assignment, HashAssignSaltChangesBuckets) {
-  int moved = 0;
-  for (int unit = 0; unit < 1000; ++unit) {
-    moved += hash_assign(unit, 1, 0.5) != hash_assign(unit, 2, 0.5);
-  }
-  EXPECT_GT(moved, 300);
-}
-
-TEST(Assignment, HashAssignEdges) {
-  EXPECT_FALSE(hash_assign(1, 1, 0.0));
-  EXPECT_TRUE(hash_assign(1, 1, 1.0));
-}
-
-TEST(Assignment, BernoulliFrequency) {
-  const auto a = bernoulli_assignment(50000, 0.95, 3);
-  std::size_t treated = 0;
-  for (bool t : a) treated += t;
-  EXPECT_NEAR(static_cast<double>(treated) / 50000.0, 0.95, 0.01);
-}
-
-TEST(Assignment, CompleteAssignmentExactCount) {
-  const auto a = complete_assignment(100, 0.3, 5);
-  std::size_t treated = 0;
-  for (bool t : a) treated += t;
-  EXPECT_EQ(treated, 30u);
-}
-
-TEST(Assignment, AlternatingCoversBothArms) {
-  const auto a = alternating_assignment(5, 9);
-  int flips = 0;
-  for (std::size_t i = 1; i < a.size(); ++i) flips += a[i] != a[i - 1];
-  EXPECT_EQ(flips, 4);
-}
 
 // Build a synthetic SUTVA world: outcome = base(hour) + hour shock +
 // effect * treated + noise. The hour shock is shared by every session in
@@ -187,92 +138,6 @@ TEST(EffectEstimate, RelativeHandlesZeroBaseline) {
   EXPECT_DOUBLE_EQ(e.relative(), 0.0);
   e.baseline = 10.0;
   EXPECT_DOUBLE_EQ(e.relative(), 0.5);
-}
-
-// --- Gradual deployment on synthetic worlds ---
-
-// SUTVA world scenario: constant effect, no interference.
-Scenario sutva_scenario(double effect) {
-  return [effect](double p, std::uint64_t seed) {
-    stats::Rng rng(seed);
-    std::vector<Observation> rows;
-    for (int i = 0; i < 4000; ++i) {
-      Observation obs;
-      obs.unit = i;
-      obs.treated = rng.bernoulli(p);
-      obs.outcome = 50.0 + (obs.treated ? effect : 0.0) +
-                    rng.normal(0.0, 3.0);
-      rows.push_back(obs);
-    }
-    return rows;
-  };
-}
-
-// Zero-sum congested world: treated units grab share from controls, total
-// fixed — the parallel-connections phenomenon in miniature.
-Scenario zero_sum_scenario() {
-  return [](double p, std::uint64_t seed) {
-    stats::Rng rng(seed);
-    std::vector<Observation> rows;
-    const int n = 4000;
-    std::vector<bool> arms(n);
-    double weight_total = 0.0;
-    for (int i = 0; i < n; ++i) {
-      arms[i] = rng.bernoulli(p);
-      weight_total += arms[i] ? 2.0 : 1.0;
-    }
-    const double capacity = 1000.0 * n;
-    for (int i = 0; i < n; ++i) {
-      Observation obs;
-      obs.unit = i;
-      obs.treated = arms[i];
-      obs.outcome = capacity * (arms[i] ? 2.0 : 1.0) / weight_total +
-                    rng.normal(0.0, 20.0);
-      rows.push_back(obs);
-    }
-    return rows;
-  };
-}
-
-TEST(Gradual, SutvaWorldShowsNoInterference) {
-  GradualOptions options;
-  options.allocations = {0.1, 0.5, 0.9};
-  const GradualReport report =
-      run_gradual_deployment(sutva_scenario(5.0), options);
-  ASSERT_EQ(report.steps.size(), 3u);
-  for (const auto& step : report.steps) {
-    EXPECT_NEAR(step.tau.estimate, 5.0, 0.6);
-  }
-  EXPECT_FALSE(report.tests.interference_detected);
-  EXPECT_NEAR(report.tte.estimate, 5.0, 0.6);
-}
-
-TEST(Gradual, ZeroSumWorldDetectsInterference) {
-  GradualOptions options;
-  options.allocations = {0.1, 0.5, 0.9};
-  const GradualReport report =
-      run_gradual_deployment(zero_sum_scenario(), options);
-  ASSERT_EQ(report.steps.size(), 3u);
-  // The A/B effect looks big at every allocation...
-  for (const auto& step : report.steps) {
-    EXPECT_GT(step.tau.estimate, 200.0);
-  }
-  // ...but the true TTE is ~0 and spillover is negative and significant.
-  // (The ramp tops out at p=0.9, where mu_T = 2/(1.9) of baseline, so the
-  // final-step "TTE" proxy legitimately sits ~5% above zero.)
-  EXPECT_NEAR(report.tte.relative(), 0.0, 0.07);
-  EXPECT_TRUE(report.tests.interference_detected);
-  EXPECT_GT(report.tests.significant_spillovers, 0u);
-  // tau(p) shrinks as p grows: 2C/n winners dilute.
-  EXPECT_GT(report.steps.front().tau.estimate,
-            report.steps.back().tau.estimate);
-}
-
-TEST(Gradual, EmptyAllocationsThrow) {
-  GradualOptions options;
-  options.allocations.clear();
-  EXPECT_THROW(run_gradual_deployment(sutva_scenario(1.0), options),
-               std::invalid_argument);
 }
 
 TEST(EstimandNames, AllNamed) {

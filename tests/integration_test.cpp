@@ -5,12 +5,18 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/aa_test.h"
+#include "core/analysis.h"
 #include "core/designs/event_study.h"
+#include "core/designs/gradual.h"
 #include "core/designs/paired_link.h"
 #include "core/designs/switchback.h"
 #include "core/session_metrics.h"
-#include "lab/scenarios.h"
+#include "lab/experiment.h"
 #include "video/cluster.h"
 
 namespace xp {
@@ -173,50 +179,52 @@ TEST(AaCalibration, LinkSimilarityDetectsRebufferImbalance) {
   }
 }
 
+/// The Section 3 parallel-connections lab world at the paper's full
+/// 10 Gb/s scale (per-flow Reno shares are tight there, giving the SUTVA
+/// z-tests the power they have in the real lab), on a shortened horizon.
+lab::ExperimentSpec parallel_connections_spec(std::vector<double> allocations) {
+  lab::ExperimentSpec spec;
+  spec.scenario = "dumbbell/two_connections";
+  spec.tuning.duration_scale = 8.0 / 13.0;
+  spec.allocations = std::move(allocations);
+  return spec;
+}
+
 TEST(LabScenario, GradualDetectsParallelConnectionInterference) {
-  // Run at the paper's full 10 Gb/s scale: per-flow Reno shares are tight
-  // there, giving the SUTVA z-tests the power they have in the real lab.
-  lab::LabConfig config;
-  config.dumbbell.warmup = 2.0;
-  config.dumbbell.duration = 8.0;
-  const auto scenario = lab::make_lab_scenario(
-      lab::Treatment::kTwoConnections, lab::LabMetric::kThroughput, config);
-  core::GradualOptions options;
-  options.allocations = {0.2, 0.5, 0.8};
-  options.replications = 3;
-  const auto report = core::run_gradual_deployment(scenario, options);
-  ASSERT_EQ(report.steps.size(), 3u);
+  lab::ExperimentSpec spec = parallel_connections_spec({0.0, 0.2, 0.5, 0.8});
+  spec.replicates = 3;
+  spec.estimators = {"gradual/contrast"};
+  const auto table =
+      lab::run_experiment(spec).estimates_for("gradual/contrast");
+  const auto tau = [&](const char* p) {
+    return table.row(std::string("avg throughput/tau") + p).effect();
+  };
   // Two connections look like a clear win in every A/B step...
-  for (const auto& step : report.steps) {
-    EXPECT_GT(step.tau.relative(), 0.2);
+  for (const char* p : {"@0.2", "@0.5", "@0.8"}) {
+    SCOPED_TRACE(p);
+    EXPECT_GT(tau(p).relative(), 0.2);
   }
   // ...and the apparent win shrinks as the allocation grows...
-  EXPECT_GT(report.steps.front().tau.estimate,
-            report.steps.back().tau.estimate);
+  EXPECT_GT(tau("@0.2").estimate, tau("@0.8").estimate);
   // ...but TTE is ~0 (same aggregate capacity), and the SUTVA battery
-  // flags the interference.
-  EXPECT_NEAR(report.tte.relative(), 0.0, 0.25);
-  EXPECT_TRUE(report.tests.interference_detected);
+  // flags the interference through the control arms' spillover.
+  EXPECT_NEAR(table.row("avg throughput/tte").effect().relative(), 0.0, 0.25);
+  const core::SutvaTests tests = core::sutva_tests(table, "avg throughput");
+  EXPECT_TRUE(tests.interference_detected);
+  EXPECT_GE(tests.significant_spillovers, 2u);
 }
 
 TEST(LabSweep, ParallelConnectionsEndpointsEqual) {
-  lab::LabConfig config;
-  config.dumbbell.bottleneck_bps = 2e9;
-  config.dumbbell.warmup = 2.0;
-  config.dumbbell.duration = 8.0;
-  config.num_apps = 6;
-  const auto sweep =
-      lab::run_allocation_sweep(lab::Treatment::kTwoConnections, config);
-  ASSERT_EQ(sweep.size(), 7u);
+  const auto report =
+      lab::run_experiment(parallel_connections_spec({0.0, 0.5, 1.0}));
+  const auto aggregate = [&](std::size_t a) {
+    return report.cell(a, 0).table.aggregate("aggregate_throughput_bps");
+  };
   // All-control vs all-treated aggregate throughput: no change (TTE = 0).
-  EXPECT_NEAR(sweep.front().aggregate_throughput,
-              sweep.back().aggregate_throughput,
-              0.1 * sweep.front().aggregate_throughput);
-  // Interior points: treated units beat control units.
-  for (std::size_t i = 1; i + 1 < sweep.size(); ++i) {
-    EXPECT_GT(sweep[i].mu_treated_throughput,
-              1.3 * sweep[i].mu_control_throughput);
-  }
+  EXPECT_NEAR(aggregate(0), aggregate(2), 0.1 * aggregate(0));
+  // Interior point: treated units beat control units.
+  const auto& rows = report.cell(1, 0).table.column("avg throughput");
+  EXPECT_GT(core::arm_mean(rows, true), 1.3 * core::arm_mean(rows, false));
 }
 
 }  // namespace

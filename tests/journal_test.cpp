@@ -46,14 +46,14 @@ std::atomic<std::uint64_t>& source_runs() {
 /// A small deterministic world exercising every serialized surface:
 /// unit rows (with one NaN outcome — the bit-exactness seam), scalar
 /// aggregates, and a time series.
-class JournalWorld final : public lab::DataSource {
+class JournalWorld final : public core::DataSource {
  public:
   std::string_view name() const noexcept override {
     return "journal_test/world";
   }
   double default_allocation() const noexcept override { return 0.5; }
 
-  lab::ObservationTable run(double allocation,
+  core::ObservationTable run(double allocation,
                             std::uint64_t seed) const override {
     ++source_runs();
     if (poisoned_seeds().count(seed) > 0) {
@@ -61,7 +61,7 @@ class JournalWorld final : public lab::DataSource {
                                std::to_string(seed) + ")");
     }
     stats::Rng rng(seed);
-    lab::ObservationTable table;
+    core::ObservationTable table;
     std::vector<core::Observation> rows;
     const std::size_t n = 60;
     rows.reserve(n);

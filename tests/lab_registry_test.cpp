@@ -12,7 +12,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/designs/gradual.h"
 #include "lab/experiment.h"
 #include "lab/registry.h"
 #include "trace/codec.h"
@@ -30,8 +29,8 @@ lab::SourceOptions smoke_options() {
   return options;
 }
 
-void expect_tables_identical(const lab::ObservationTable& a,
-                             const lab::ObservationTable& b) {
+void expect_tables_identical(const core::ObservationTable& a,
+                             const core::ObservationTable& b) {
   ASSERT_EQ(a.metrics, b.metrics);
   ASSERT_EQ(a.columns.size(), b.columns.size());
   for (std::size_t c = 0; c < a.columns.size(); ++c) {
@@ -96,7 +95,7 @@ TEST(Registry, DuplicateRegistrationThrows) {
   EXPECT_THROW(
       lab::register_scenario("dumbbell/pacing",
                              [](const lab::SourceOptions&)
-                                 -> std::unique_ptr<lab::DataSource> {
+                                 -> std::unique_ptr<core::DataSource> {
                                return nullptr;
                              }),
       std::invalid_argument);
@@ -128,6 +127,8 @@ TEST(Registry, EveryScenarioIsBitIdenticalAcrossThreadCounts) {
     spec.tuning.trace_path = trace_path;
     spec.replicates = 2;
     spec.seed = 7;
+    // The lab sweeps pin the all-control and all-treated endpoints too.
+    if (name.starts_with("dumbbell/")) spec.allocations = {0.0, 0.5, 1.0};
 
     const auto report1 = lab::run_experiment(spec, serial);
     const auto reportN = lab::run_experiment(spec, pool);
@@ -211,23 +212,6 @@ TEST(Pipeline, PolicyScenariosRunEndToEndThroughEstimators) {
     ASSERT_FALSE(row.replicates.empty());
     EXPECT_TRUE(std::isfinite(row.effect().estimate));
     EXPECT_LE(row.effect().ci_low, row.effect().ci_high);
-  }
-}
-
-TEST(Pipeline, RegistryScenarioDrivesTheGradualDesign) {
-  // The unified seam: a registered backend feeds a core/ design directly.
-  std::shared_ptr<const lab::DataSource> source =
-      lab::make_scenario("dumbbell/two_connections", smoke_options());
-  const core::Scenario scenario =
-      lab::as_scenario(source, "avg throughput");
-  core::GradualOptions options;
-  options.allocations = {0.3, 0.7};
-  options.replications = 2;
-  const auto report = core::run_gradual_deployment(scenario, options);
-  ASSERT_EQ(report.steps.size(), 2u);
-  for (const auto& step : report.steps) {
-    EXPECT_GT(step.mu_treated, 0.0);
-    EXPECT_GT(step.mu_control, 0.0);
   }
 }
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "util/runner.h"
-#include "lab/scenarios.h"
 #include "stats/bootstrap.h"
 #include "stats/descriptive.h"
 
@@ -130,34 +129,6 @@ TEST(Runner, NestedParallelForCompletes) {
     runner.parallel_for(8, [&](std::size_t) { ++total; });
   });
   EXPECT_EQ(total.load(), 64);
-}
-
-TEST(Runner, SweepIsBitIdenticalAcrossThreadCounts) {
-  lab::LabConfig config;
-  config.dumbbell.bottleneck_bps = 200e6;
-  config.dumbbell.warmup = 0.2;
-  config.dumbbell.duration = 0.8;
-  config.num_apps = 4;
-
-  util::Runner serial(1);
-  util::Runner pool(4);
-  const auto sweep1 =
-      lab::run_allocation_sweep(lab::Treatment::kTwoConnections, config,
-                                serial);
-  const auto sweepN =
-      lab::run_allocation_sweep(lab::Treatment::kTwoConnections, config,
-                                pool);
-
-  ASSERT_EQ(sweep1.size(), sweepN.size());
-  for (std::size_t i = 0; i < sweep1.size(); ++i) {
-    EXPECT_EQ(sweep1[i].treated_count, sweepN[i].treated_count);
-    // Bit-for-bit, not approximately: the determinism contract.
-    EXPECT_EQ(sweep1[i].mu_treated_throughput, sweepN[i].mu_treated_throughput);
-    EXPECT_EQ(sweep1[i].mu_control_throughput, sweepN[i].mu_control_throughput);
-    EXPECT_EQ(sweep1[i].mu_treated_retransmit, sweepN[i].mu_treated_retransmit);
-    EXPECT_EQ(sweep1[i].mu_control_retransmit, sweepN[i].mu_control_retransmit);
-    EXPECT_EQ(sweep1[i].aggregate_throughput, sweepN[i].aggregate_throughput);
-  }
 }
 
 TEST(Runner, BootstrapIsBitIdenticalAcrossThreadCounts) {

@@ -55,7 +55,7 @@ enum class Kind { kClean, kFlaky, kBudget, kEmpty, kAllNan, kSingleArm };
 /// design has something to chew on, pure in (allocation, seed). kClean
 /// and kFlaky generate *identical* tables for non-poisoned seeds — the
 /// seam the surviving-estimates bit-identity test relies on.
-class TestSource final : public lab::DataSource {
+class TestSource final : public core::DataSource {
  public:
   TestSource(std::string name, Kind kind)
       : name_(std::move(name)), kind_(kind) {}
@@ -63,7 +63,7 @@ class TestSource final : public lab::DataSource {
   std::string_view name() const noexcept override { return name_; }
   double default_allocation() const noexcept override { return 0.5; }
 
-  lab::ObservationTable run(double allocation,
+  core::ObservationTable run(double allocation,
                             std::uint64_t seed) const override {
     ++test_source_runs();
     if (kind_ == Kind::kFlaky && poisoned_seeds().count(seed) > 0) {
@@ -73,7 +73,7 @@ class TestSource final : public lab::DataSource {
     if (kind_ == Kind::kBudget && poisoned_seeds().count(seed) > 0) {
       util::throw_budget_exceeded("test source", "units", 42);
     }
-    lab::ObservationTable table;
+    core::ObservationTable table;
     if (kind_ == Kind::kEmpty) return table;
     stats::Rng rng(seed);
     std::vector<core::Observation> rows;

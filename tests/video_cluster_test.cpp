@@ -126,8 +126,8 @@ TEST(PairedLinksRegistry, ScenariosAreBitIdenticalAcrossThreadCounts) {
 
     ASSERT_EQ(report1.cells.size(), reportN.cells.size());
     for (std::size_t c = 0; c < report1.cells.size(); ++c) {
-      const lab::ObservationTable& a = report1.cells[c].table;
-      const lab::ObservationTable& b = reportN.cells[c].table;
+      const core::ObservationTable& a = report1.cells[c].table;
+      const core::ObservationTable& b = reportN.cells[c].table;
       ASSERT_EQ(a.metrics, b.metrics);
       ASSERT_EQ(a.columns.size(), b.columns.size());
       for (std::size_t col = 0; col < a.columns.size(); ++col) {

@@ -158,13 +158,20 @@ TEST(MaxMinFair, EmptyAndZeroCapacity) {
   EXPECT_DOUBLE_EQ(alloc[0], 0.0);
 }
 
+// One tick of a single session demanding (and desiring) `demand_bps`,
+// through the presummed form the cluster tick calls.
+void tick(FluidLink& link, double demand_bps, double dt) {
+  const std::vector<double> demands{demand_bps};
+  std::vector<double> alloc;
+  link.allocate_and_advance(demands, demand_bps, demand_bps, 1, dt, alloc);
+}
+
 TEST(FluidLink, QueueBuildsUnderSustainedOverload) {
   FluidLinkConfig config;
   config.capacity_bps = 1e9;
   FluidLink link(config);
-  const std::vector<double> demands{2e9};  // persistent 2x overload
   for (int i = 0; i < 1200; ++i) {
-    link.allocate_and_advance(demands, 2e9, 1.0);
+    tick(link, 2e9, 1.0);  // persistent 2x overload
   }
   EXPECT_GT(link.queueing_delay(), 0.9 * config.buffer_seconds);
   EXPECT_GT(link.rtt(), config.base_rtt + 0.9 * config.buffer_seconds);
@@ -176,10 +183,10 @@ TEST(FluidLink, QueueDrainsWhenLoadRecedes) {
   config.capacity_bps = 1e9;
   FluidLink link(config);
   for (int i = 0; i < 1200; ++i) {
-    link.allocate_and_advance(std::vector<double>{3e9}, 3e9, 1.0);
+    tick(link, 3e9, 1.0);
   }
   for (int i = 0; i < 1200; ++i) {
-    link.allocate_and_advance(std::vector<double>{1e8}, 1e8, 1.0);
+    tick(link, 1e8, 1.0);
   }
   EXPECT_LT(link.queueing_delay(), 0.02);
   EXPECT_NEAR(link.loss_fraction(), config.base_loss, 1e-4);
@@ -190,7 +197,7 @@ TEST(FluidLink, NoQueueBelowKnee) {
   config.capacity_bps = 1e9;
   FluidLink link(config);
   for (int i = 0; i < 600; ++i) {
-    link.allocate_and_advance(std::vector<double>{8e8}, 8e8, 1.0);
+    tick(link, 8e8, 1.0);
   }
   EXPECT_NEAR(link.queueing_delay(), 0.0, 1e-6);
 }
@@ -200,7 +207,7 @@ TEST(FluidLink, LossMonotoneInOccupancy) {
   FluidLink link(config);
   double prev_loss = -1.0;
   for (int i = 0; i < 40; ++i) {
-    link.allocate_and_advance(std::vector<double>{5e9}, 5e9, 10.0);
+    tick(link, 5e9, 10.0);
     EXPECT_GE(link.loss_fraction(), prev_loss);
     prev_loss = link.loss_fraction();
   }

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "core/quantile_effects.h"
 #include "lab/experiment.h"
 #include "lab/fleet_scenarios.h"
+#include "lab/journal.h"
 #include "util/runner.h"
 #include "sim/dumbbell.h"
 #include "sim/event_queue.h"
@@ -292,6 +294,46 @@ void BM_FleetDay(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FleetDay)->Unit(benchmark::kMillisecond);
+
+void BM_JournalRoundTrip(benchmark::State& state) {
+  // The journal codec end to end (lab/journal.h): append the cells of a
+  // one-day paired_links/experiment sweep (4 replicates) to a fresh
+  // journal, then reopen it and replay every record. The cells are
+  // simulated once outside the loop; the loop is serialization, checksum,
+  // file I/O and decode — the "add an estimator to a finished sweep"
+  // path, which a reader that slurps or byte-hashes the file slows down.
+  xp::lab::ExperimentSpec spec;
+  spec.scenario = "paired_links/experiment";
+  spec.tuning.duration_scale = 0.2;
+  spec.replicates = 4;
+  xp::util::Runner runner(1);
+  const xp::core::ExperimentReport report =
+      xp::lab::run_experiment(spec, runner);
+  const std::uint64_t fingerprint = xp::lab::journal_fingerprint(spec);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "xp_bench_journal_round_trip";
+  const std::string path = xp::lab::journal_path(dir.string());
+  std::uintmax_t file_bytes = 0;
+  for (auto _ : state) {
+    std::filesystem::remove_all(dir);
+    {
+      xp::lab::CellJournal journal(path);
+      for (const xp::core::ExperimentCell& cell : report.cells) {
+        journal.append(xp::lab::journal_cell_key(fingerprint, cell.allocation,
+                                                 cell.seed),
+                       cell);
+      }
+    }
+    const xp::lab::CellJournal reopened(path);
+    benchmark::DoNotOptimize(reopened.records());
+    file_bytes = std::filesystem::file_size(path);
+  }
+  std::filesystem::remove_all(dir);
+  // Each iteration writes the file once and reads it back once.
+  state.SetBytesProcessed(static_cast<std::int64_t>(
+      2 * file_bytes * static_cast<std::uintmax_t>(state.iterations())));
+}
+BENCHMARK(BM_JournalRoundTrip)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,6 +1,5 @@
 #include "lab/fleet_scenarios.h"
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -9,6 +8,7 @@
 
 #include "core/cell_accumulator.h"
 #include "util/budget.h"
+#include "util/hash.h"
 #include "video/cluster.h"
 
 namespace xp::lab {
@@ -26,19 +26,6 @@ std::size_t fleet_hours(const video::FleetConfig& fleet) {
 double shard_nominal_ticks(const video::ClusterConfig& config) {
   return std::ceil(config.days * 86400.0 / config.tick_seconds);
 }
-
-// FNV-1a over the fields that change a fleet's output, so the journal
-// fingerprint distinguishes fleets the scenario key alone cannot.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-};
 
 class FleetSource final : public core::DataSource {
  public:
@@ -85,21 +72,27 @@ class FleetSource final : public core::DataSource {
   }
 
   std::uint64_t config_fingerprint() const noexcept override {
-    Fnv fnv;
-    fnv.mix(static_cast<std::uint64_t>(fleet_.shards.size()));
+    // FNV-1a over the fields that change a fleet's output (each as its
+    // 8 little-endian bytes), so the journal fingerprint distinguishes
+    // fleets the scenario key alone cannot.
+    std::uint64_t hash = util::kFnv1a64Basis;
+    const auto mix = [&hash](auto value) {
+      static_assert(sizeof(value) == sizeof(std::uint64_t));
+      hash = util::fnv1a64(&value, sizeof(value), hash);
+    };
+    mix(static_cast<std::uint64_t>(fleet_.shards.size()));
     for (const video::ShardConfig& shard : fleet_.shards) {
-      fnv.mix(shard.capacity_scale);
-      fnv.mix(shard.demand_scale);
-      fnv.mix(static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(shard.demand_phase_hours)));
-      fnv.mix(shard.uhd_tilt);
+      mix(shard.capacity_scale);
+      mix(shard.demand_scale);
+      mix(static_cast<std::int64_t>(shard.demand_phase_hours));
+      mix(shard.uhd_tilt);
     }
-    fnv.mix(fleet_.base.days);
-    fnv.mix(fleet_.base.tick_seconds);
-    fnv.mix(fleet_.base.demand.peak_arrivals_per_second);
-    fnv.mix(fleet_.base.link.capacity_bps);
-    fnv.mix(fleet_.base.link0_probability);
-    return fnv.h;
+    mix(fleet_.base.days);
+    mix(fleet_.base.tick_seconds);
+    mix(fleet_.base.demand.peak_arrivals_per_second);
+    mix(fleet_.base.link.capacity_bps);
+    mix(fleet_.base.link0_probability);
+    return hash;
   }
 
  private:

@@ -18,13 +18,25 @@
 // (magic, version refusal, errors naming the record and field):
 //
 //   "XPCJ"  u32 version            <- header, written once at creation
-//   [ u32 payload_size  u64 fnv1a64(payload)  payload ]*   <- records
+//   [ u32 payload_size  u64 checksum(payload)  payload ]*   <- records
+//
+// The checksum is FNV-1a-64 over the payload's little-endian 64-bit
+// words, then its tail bytes one at a time (util::fnv1a64_words). A
+// payload is the content key, allocation, replicate, seed, CellStatus,
+// DataQualityReport and ObservationTable; each Observation row is packed
+// into 50 bytes (unit, account, treated, outcome, hour_of_day,
+// hour_index, day, group, weight). Open reads the file frame by frame
+// with sized reads into one reused buffer, and reads a payload only when
+// its declared size fits the bytes left, so the file is never held whole
+// and the buffer never outgrows the file. Every count inside a payload is
+// checked against the bytes left before anything is sized from it.
 //
 // Torn tails — the crash artifact — are *recovered*: a record whose
 // frame runs past end-of-file is dropped and the file is truncated back
 // to the last complete record. Mid-record corruption is *refused*: a
 // complete frame whose checksum does not match throws, naming the record
-// index (a journal that lies is worse than no journal).
+// index (a journal that lies is worse than no journal), and so does a
+// checksummed payload whose fields do not parse, naming the field.
 //
 // Staleness is impossible by construction: every record is keyed by a
 // content key hashing (journal schema version, scenario key, tuning
@@ -49,7 +61,7 @@ struct ExperimentSpec;  // lab/experiment.h
 /// Journal schema version: bump on any change to the record layout or
 /// the content-key recipe; old journals then never match and are simply
 /// recomputed over.
-inline constexpr std::uint32_t kJournalVersion = 2;
+inline constexpr std::uint32_t kJournalVersion = 3;
 
 /// The journal file a directory holds (one per directory).
 std::string journal_path(const std::string& directory);
@@ -76,8 +88,9 @@ class CellJournal {
   /// Opens (or creates) <directory>/cells.xpj. Creates the directory if
   /// missing. Throws std::invalid_argument on a foreign or corrupt file
   /// (bad magic, version mismatch, checksum mismatch — naming the path
-  /// and record), std::runtime_error on I/O failure. A torn tail is
-  /// truncated, not an error.
+  /// and record; a truncated field, an out-of-range count or state, or
+  /// trailing bytes — naming the record and field), std::runtime_error
+  /// on I/O failure. A torn tail is truncated, not an error.
   explicit CellJournal(std::string path);
   ~CellJournal();
 
@@ -90,7 +103,9 @@ class CellJournal {
   const core::ExperimentCell* find(std::uint64_t key, double allocation,
                                    std::uint64_t seed) const noexcept;
 
-  /// Durably append one terminal cell (thread-safe, flushed).
+  /// Durably append one terminal cell (thread-safe, flushed). Throws
+  /// std::invalid_argument, naming the cell, when its record would be
+  /// 4 GiB or more (past the frame's u32 size field).
   void append(std::uint64_t key, const core::ExperimentCell& cell);
 
   /// Complete records replayed at open (all specs, duplicates counted).

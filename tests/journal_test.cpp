@@ -1,16 +1,21 @@
 // Crash-safe cell journal (lab/journal.h): resumed runs are bit-identical
 // to uninterrupted ones at any thread count, torn tails are recovered,
-// checksum corruption is refused naming the record, and stale content
-// keys recompute instead of replaying.
+// checksum corruption is refused naming the record, stale content keys
+// recompute instead of replaying, and mutated files either open or are
+// refused naming the path, record or field.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <new>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -21,7 +26,30 @@
 #include "lab/journal.h"
 #include "lab/registry.h"
 #include "stats/rng.h"
+#include "util/hash.h"
 #include "util/runner.h"
+
+// ---------------------------------------------------- allocation probe ----
+// The mutation fuzz checks that opening a hostile journal never allocates
+// without bound. This binary replaces the global operator new so that,
+// while the probe is armed, the largest single request is recorded.
+namespace {
+std::atomic<bool> g_probe_armed{false};
+std::atomic<std::size_t> g_probe_largest{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_probe_armed.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_probe_largest.load(std::memory_order_relaxed);
+    while (size > seen && !g_probe_largest.compare_exchange_weak(
+                              seen, size, std::memory_order_relaxed)) {
+    }
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace xp {
 namespace {
@@ -430,6 +458,339 @@ TEST(Journal, NonOkCellsAreJournaledAndReplayed) {
   EXPECT_EQ(source_runs().load(), before);
   EXPECT_EQ(resumed.cells[2].status.state, core::CellState::kSkipped);
   expect_reports_identical(first, resumed);
+}
+
+// ------------------------------------------------------ mutation fuzz ----
+// Hostile bytes: every input either opens (a torn tail may be truncated)
+// or throws std::invalid_argument naming the path, record or field —
+// never another exception, a crash, a hang, or an allocation out of
+// proportion to the file size. Mutated payloads get their checksum recomputed, so the
+// record parser sees them and not only the checksum.
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+template <typename T>
+T load(const std::string& bytes, std::size_t pos) {
+  T value;
+  std::memcpy(&value, bytes.data() + pos, sizeof(T));
+  return value;
+}
+
+template <typename T>
+void store(std::string& bytes, std::size_t pos, T value) {
+  std::memcpy(bytes.data() + pos, &value, sizeof(T));
+}
+
+constexpr std::size_t kHeader = 8;  // "XPCJ" + u32 version
+constexpr std::size_t kPrefix = 12;  // u32 payload size + u64 checksum
+
+/// Where one record payload keeps its length fields and doubles: the
+/// layout documented in lab/journal.h, walked independently of the codec
+/// so the fuzz can aim at the fields that size allocations.
+struct PayloadFields {
+  std::size_t state = 0;
+  std::size_t quality_metrics = 0;
+  std::size_t quality_issues = 0;
+  std::vector<std::size_t> u32_lengths;  // string lengths, item counts
+  std::vector<std::size_t> u64_lengths;  // row counts, series lengths
+  std::vector<std::size_t> doubles;
+};
+
+PayloadFields walk_payload(const std::string& p) {
+  PayloadFields f;
+  std::size_t pos = 0;
+  const auto u32 = [&] {
+    f.u32_lengths.push_back(pos);
+    pos += 4;
+    return load<std::uint32_t>(p, pos - 4);
+  };
+  const auto u64 = [&] {
+    f.u64_lengths.push_back(pos);
+    pos += 8;
+    return load<std::uint64_t>(p, pos - 8);
+  };
+  const auto f64 = [&] {
+    f.doubles.push_back(pos);
+    pos += 8;
+  };
+  const auto str = [&] { pos += u32(); };
+  pos += 8;  // key
+  f64();     // allocation
+  pos += 16;  // replicate, seed
+  f.state = pos;
+  pos += 1 + 4;  // state, attempts
+  str();         // error
+  pos += 1 + 3 * 8;  // quality: computed, rows, treated/control rows
+  f64();
+  f64();             // treated/control weight
+  pos += 3 * 8;      // hours, arm-hour cells, non-finite
+  f.quality_metrics = pos;
+  for (std::uint32_t m = u32(); m > 0; --m) {
+    str();
+    pos += 16;
+  }
+  for (int i = 0; i < 4; ++i) f64();  // fractions, SRM chi-square and p
+  pos += 1;                           // SRM flag
+  f.quality_issues = pos;
+  for (std::uint32_t i = u32(); i > 0; --i) str();
+  for (std::uint32_t c = u32(); c > 0; --c) {
+    str();
+    for (std::uint64_t r = u64(); r > 0; --r) {
+      pos += 17;  // unit, account, treated
+      f64();      // outcome
+      pos += 17;  // hour_of_day, hour_index, day, group
+      f64();      // weight
+    }
+  }
+  for (std::uint32_t a = u32(); a > 0; --a) {
+    str();
+    f64();
+  }
+  for (std::uint32_t s = u32(); s > 0; --s) {
+    str();
+    for (std::uint64_t v = u64(); v > 0; --v) f64();
+  }
+  EXPECT_EQ(pos, p.size()) << "test walker out of step with the codec";
+  return f;
+}
+
+/// A journal split into its frames' payloads, re-assembled with fresh
+/// checksums after a payload mutation.
+struct JournalBytes {
+  std::string header;
+  std::vector<std::string> payloads;
+
+  static JournalBytes split(const std::string& file) {
+    JournalBytes j;
+    j.header = file.substr(0, kHeader);
+    for (std::size_t pos = kHeader; pos < file.size();) {
+      const auto size = load<std::uint32_t>(file, pos);
+      j.payloads.push_back(file.substr(pos + kPrefix, size));
+      pos += kPrefix + size;
+    }
+    return j;
+  }
+
+  std::string assemble() const {
+    std::string out = header;
+    for (const std::string& payload : payloads) {
+      std::string prefix(kPrefix, '\0');
+      store<std::uint32_t>(prefix, 0,
+                           static_cast<std::uint32_t>(payload.size()));
+      store<std::uint64_t>(
+          prefix, 4, util::fnv1a64_words(payload.data(), payload.size()));
+      out += prefix + payload;
+    }
+    return out;
+  }
+
+  /// Offset of frame `f`'s prefix in the assembled file.
+  std::size_t frame_offset(std::size_t f) const {
+    std::size_t pos = kHeader;
+    for (std::size_t i = 0; i < f; ++i) pos += kPrefix + payloads[i].size();
+    return pos;
+  }
+};
+
+/// The fuzz corpus: the journal_spec sweep under the skip policy with one
+/// poisoned cell, so records carry an error string, a NaN outcome,
+/// aggregates and series.
+JournalBytes fuzz_corpus() {
+  lab::ExperimentSpec spec = journal_spec();
+  spec.on_failure = lab::FailurePolicy::skip();
+  TempDir dir("fuzz_corpus");
+  poisoned_seeds() = {lab::cell_seed(spec.seed, 2)};
+  lab::run_experiment(spec, dir.options());
+  poisoned_seeds().clear();
+  return JournalBytes::split(read_bytes(dir.file()));
+}
+
+struct OpenOutcome {
+  bool opened = false;
+  std::size_t records = 0;
+  std::string error;  // the refusal, when !opened
+  std::size_t largest_alloc = 0;
+};
+
+OpenOutcome open_probed(const std::string& path) {
+  OpenOutcome outcome;
+  g_probe_largest = 0;
+  g_probe_armed = true;
+  try {
+    lab::CellJournal journal(path);
+    g_probe_armed = false;
+    outcome.opened = true;
+    outcome.records = journal.records();
+  } catch (const std::invalid_argument& e) {
+    g_probe_armed = false;
+    outcome.error = e.what();
+  } catch (const std::exception& e) {
+    g_probe_armed = false;
+    ADD_FAILURE() << "not a named refusal: " << e.what();
+  }
+  outcome.largest_alloc = g_probe_largest;
+  return outcome;
+}
+
+TEST(Journal, HostileCountsAndStatesAreNamedErrors) {
+  const JournalBytes corpus = fuzz_corpus();
+  TempDir dir("hostile");
+  fs::create_directories(dir.path);
+  const PayloadFields fields = walk_payload(corpus.payloads[1]);
+  struct Case {
+    std::size_t offset;
+    std::uint32_t value;
+    std::size_t width;
+    const char* field;
+  };
+  for (const Case& c : {Case{fields.quality_metrics, 0xFFFFFFFFu, 4,
+                             "field 'quality.metrics'"},
+                        Case{fields.quality_issues, 0xFFFFFFFFu, 4,
+                             "field 'quality.issues'"},
+                        Case{fields.state, 5, 1, "field 'state'"},
+                        Case{fields.state, 0xFF, 1, "field 'state'"}}) {
+    SCOPED_TRACE(c.field);
+    JournalBytes hostile = corpus;
+    std::memcpy(hostile.payloads[1].data() + c.offset, &c.value, c.width);
+    write_bytes(dir.file(), hostile.assemble());
+    const OpenOutcome outcome = open_probed(dir.file());
+    ASSERT_FALSE(outcome.opened);
+    EXPECT_NE(outcome.error.find("record 1"), std::string::npos)
+        << outcome.error;
+    EXPECT_NE(outcome.error.find(c.field), std::string::npos)
+        << outcome.error;
+  }
+}
+
+TEST(Journal, MutationFuzzOpensOrRefusesWithANamedError) {
+  const JournalBytes corpus = fuzz_corpus();
+  ASSERT_EQ(corpus.payloads.size(), 6u);
+  std::vector<PayloadFields> fields;
+  for (const std::string& payload : corpus.payloads) {
+    fields.push_back(walk_payload(payload));
+  }
+  const std::string clean = corpus.assemble();
+  TempDir dir("fuzz");
+  fs::create_directories(dir.path);
+
+  const std::uint32_t u32_lies[] = {0u, 1u, 49u, 0x7FFFFFFFu, 0xFFFFFFFFu};
+  const std::uint64_t u64_lies[] = {0u, 1u, 1ull << 32, 1ull << 63,
+                                    ~0ull};
+  const double odd_doubles[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::signaling_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(), -0.0,
+      std::numeric_limits<double>::denorm_min()};
+
+  std::size_t opened = 0;
+  std::size_t refused = 0;
+  for (std::uint64_t seed = 1; seed <= 3000; ++seed) {
+    stats::Rng rng(seed);
+    const std::size_t f = rng.uniform_int(corpus.payloads.size());
+    JournalBytes mutated = corpus;
+    std::string& payload = mutated.payloads[f];
+    const PayloadFields& at = fields[f];
+    std::string bytes;
+    bool must_open = false;
+    std::size_t complete_frames = corpus.payloads.size();
+    const char* kind = "";
+    switch (rng.uniform_int(6)) {
+      case 0: {  // raw byte flip anywhere, checksum left stale
+        kind = "byte flip";
+        bytes = clean;
+        bytes[rng.uniform_int(bytes.size())] ^=
+            static_cast<char>(1 + rng.uniform_int(255));
+        break;
+      }
+      case 1: {  // payload byte flips the parser sees
+        kind = "payload flip";
+        for (std::uint64_t n = 1 + rng.uniform_int(3); n > 0; --n) {
+          payload[rng.uniform_int(payload.size())] ^=
+              static_cast<char>(1 + rng.uniform_int(255));
+        }
+        bytes = mutated.assemble();
+        break;
+      }
+      case 2: {  // truncation: only ever a torn tail
+        kind = "truncation";
+        bytes = clean.substr(0, rng.uniform_int(clean.size()));
+        must_open = true;
+        complete_frames = 0;
+        while (complete_frames < corpus.payloads.size() &&
+               mutated.frame_offset(complete_frames + 1) <= bytes.size()) {
+          ++complete_frames;
+        }
+        break;
+      }
+      case 3: {  // a u32 or u64 length field that lies
+        kind = "lying length";
+        // (A skipped cell's empty table has no u64 length to lie with.)
+        if (at.u64_lengths.empty() || rng.bernoulli(0.5)) {
+          const std::size_t pos =
+              at.u32_lengths[rng.uniform_int(at.u32_lengths.size())];
+          store(payload, pos, u32_lies[rng.uniform_int(5)]);
+        } else {
+          const std::size_t pos =
+              at.u64_lengths[rng.uniform_int(at.u64_lengths.size())];
+          store(payload, pos, u64_lies[rng.uniform_int(5)]);
+        }
+        bytes = mutated.assemble();
+        break;
+      }
+      case 4: {  // a frame size that lies
+        kind = "lying frame size";
+        bytes = clean;
+        const std::uint32_t size =
+            static_cast<std::uint32_t>(payload.size());
+        const std::uint32_t lies[] = {0u, size - 1, size + 1,
+                                      static_cast<std::uint32_t>(bytes.size()),
+                                      0xFFFFFFFFu};
+        store(bytes, mutated.frame_offset(f), lies[rng.uniform_int(5)]);
+        break;
+      }
+      default: {  // NaN / inf / odd doubles: bit patterns, always valid
+        kind = "odd double";
+        store(payload, at.doubles[rng.uniform_int(at.doubles.size())],
+              odd_doubles[rng.uniform_int(6)]);
+        bytes = mutated.assemble();
+        must_open = true;
+        break;
+      }
+    }
+    SCOPED_TRACE(std::string(kind) + ", seed " + std::to_string(seed));
+    write_bytes(dir.file(), bytes);
+    const OpenOutcome outcome = open_probed(dir.file());
+    // Decoded rows are the one thing larger in memory than on disk (a
+    // 50-byte packed row becomes a core::Observation); the 4 KiB covers
+    // paths and messages when the file is tiny.
+    const std::size_t bound =
+        4096 + bytes.size() * sizeof(core::Observation) / 50;
+    EXPECT_LE(outcome.largest_alloc, bound);
+    if (outcome.opened) {
+      ++opened;
+      if (must_open) {
+        EXPECT_EQ(outcome.records, complete_frames);
+      }
+    } else {
+      ++refused;
+      EXPECT_FALSE(must_open) << outcome.error;
+      const std::string& what = outcome.error;
+      EXPECT_TRUE(what.find(dir.file()) != std::string::npos ||
+                  what.find("record ") != std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_GT(opened, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 }  // namespace

@@ -5,13 +5,16 @@
 //       --allocations 0.5,0.95 --replicates 4 --estimators naive/ab
 //       --duration-scale 0.05 --seed 7       (one command line)
 //
-// Runs the spec, prints the completion manifest (and, with --journal,
-// how much of the run was replayed from the journal), and exits 0 only
-// when every cell is OK — a partial run (failed / skipped /
-// quality-held / budget-exceeded cells) exits 3, so a supervisor loop
-// can simply re-invoke until the exit code clears. Kill it at any
-// moment: with --journal, completed cells are already on disk and the
-// next invocation resumes instead of restarting.
+// Runs the spec and prints the completion manifest: cell counts by state,
+// each non-OK cell with its error, and the estimate row count of each
+// estimator. The output is the same whether cells were computed or
+// replayed from the journal (a fully replayed re-run prints exactly what
+// the first run did and appends nothing). It exits 0 only when every
+// cell is OK — a partial run (failed / skipped / quality-held /
+// budget-exceeded cells) exits 3, so a supervisor loop can simply
+// re-invoke until the exit code clears. Kill it at any moment: with
+// --journal, completed cells are already on disk and the next invocation
+// resumes instead of restarting.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -18,20 +18,20 @@
 
 namespace {
 
-std::vector<xp::core::Observation> tte_rows(
+std::vector<xp::core::Observation> column(
     const std::vector<xp::video::SessionRecord>& sessions,
     xp::core::Metric metric) {
-  return xp::core::tte_contrast(
-      xp::core::select(sessions, metric, xp::core::RowFilter{}));
+  return xp::core::select(sessions, metric, xp::core::RowFilter{});
 }
 
 }  // namespace
 
 int main() {
   const auto run = xp::bench::main_experiment();
+  const auto min_rtt = column(run.sessions, xp::core::Metric::kMinRtt);
 
   xp::bench::header("Ablation 1 — Newey-West lag (min RTT TTE)");
-  const auto obs = tte_rows(run.sessions, xp::core::Metric::kMinRtt);
+  const auto obs = xp::core::tte_contrast(min_rtt);
   std::printf("%6s | %10s %10s\n", "lag", "estimate", "std error");
   for (std::size_t lag : {0u, 1u, 2u, 4u, 8u}) {
     xp::core::AnalysisOptions options;
@@ -52,8 +52,7 @@ int main() {
     for (int d = 0; d < 5; ++d) {
       options.day_treated[d] = (d / days_per_interval) % 2 == 0;
     }
-    const auto estimate = xp::core::switchback_tte(
-        run.sessions, xp::core::Metric::kMinRtt, options);
+    const auto estimate = xp::core::switchback_tte(min_rtt, options);
     std::printf("%11d d  | %+9.4f %22.4f\n", days_per_interval,
                 estimate.estimate, estimate.ci_high - estimate.ci_low);
   }
@@ -88,8 +87,8 @@ int main() {
 
   xp::bench::header(
       "Ablation 4 — quantile treatment effects (play delay, TTE contrast)");
-  const auto delay_rows =
-      tte_rows(run.sessions, xp::core::Metric::kPlayDelay);
+  const auto delay_rows = xp::core::tte_contrast(
+      column(run.sessions, xp::core::Metric::kPlayDelay));
   const std::vector<double> quantiles{0.5, 0.9, 0.99};
   const auto ladder = xp::core::quantile_effect_ladder(delay_rows,
                                                        quantiles);

@@ -14,14 +14,17 @@ int main() {
       "Baseline week (Section 4.1) — link 1 vs link 2 similarity, "
       "all-control traffic");
   const auto baseline = xp::bench::baseline_week();
-  const auto rows = xp::core::link_similarity(baseline.sessions);
   std::printf("%-22s | %-34s %s\n", "metric", "link1 - link2 (relative)",
               "significant?");
-  for (const auto& row : rows) {
+  for (const auto metric : xp::core::kAllMetrics) {
+    const auto difference =
+        xp::core::hourly_fe_analysis(xp::core::aa_link_contrast(
+            xp::core::select(baseline.sessions, metric,
+                             xp::core::RowFilter{})));
     std::printf("%-22s | %-34s %s\n",
-                std::string(metric_name(row.metric)).c_str(),
-                xp::core::format_relative(row.difference).c_str(),
-                row.difference.significant ? "YES" : "no");
+                std::string(metric_name(metric)).c_str(),
+                xp::core::format_relative(difference).c_str(),
+                difference.significant ? "YES" : "no");
   }
   std::printf(
       "\n(paper: links differed in bytes sent +5%%, stability +2%%, "

@@ -89,10 +89,10 @@ int main() {
        {xp::core::Metric::kThroughput, xp::core::Metric::kMinRtt,
         xp::core::Metric::kBitrate, xp::core::Metric::kPlayDelay,
         xp::core::Metric::kRetransmitFraction}) {
-    const auto sb = xp::core::calibrate_switchback_aa(baseline.sessions,
-                                                      metric, 5);
-    const auto es = xp::core::calibrate_event_study_aa(baseline.sessions,
-                                                       metric, 5);
+    const auto column =
+        xp::core::select(baseline.sessions, metric, xp::core::RowFilter{});
+    const auto sb = xp::core::calibrate_switchback_aa(column, 5);
+    const auto es = xp::core::calibrate_event_study_aa(column, 5);
     std::printf("%-22s | %10zu / %-12zu %10zu / %-12zu\n",
                 std::string(metric_name(metric)).c_str(),
                 sb.false_positives, sb.assignments_tested,

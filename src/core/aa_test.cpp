@@ -4,33 +4,20 @@
 #include <cmath>
 
 #include "core/designs/event_study.h"
+#include "core/designs/paired_link.h"
 #include "core/designs/switchback.h"
 
 namespace xp::core {
 
-std::vector<LinkSimilarityRow> link_similarity(
-    std::span<const video::SessionRecord> rows,
-    const AnalysisOptions& options) {
-  std::vector<LinkSimilarityRow> out;
-  for (Metric metric : kAllMetrics) {
-    // Label link 0 as the "treatment" and compare with the hourly FE
-    // pipeline; control-only rows on both links (A/A).
-    RowFilter link0;
-    link0.link = 0;
-    link0.treated = 0;
-    auto obs = select(rows, metric, link0, /*relabel=*/1);
-    RowFilter link1;
-    link1.link = 1;
-    link1.treated = 0;
-    const auto other = select(rows, metric, link1, /*relabel=*/0);
-    obs.insert(obs.end(), other.begin(), other.end());
-
-    LinkSimilarityRow row;
-    row.metric = metric;
-    row.difference = hourly_fe_analysis(obs, options);
-    out.push_back(row);
-  }
-  return out;
+std::vector<Observation> aa_link_contrast(std::span<const Observation> rows,
+                                          int day_max) {
+  RowFilter link0;
+  link0.link = 0;
+  link0.treated = 0;
+  link0.day_max = day_max;
+  RowFilter link1 = link0;
+  link1.link = 1;
+  return cross_cell_contrast(rows, link0, link1);
 }
 
 namespace {
@@ -47,9 +34,10 @@ DesignCalibration accumulate(DesignCalibration calibration,
 
 }  // namespace
 
-DesignCalibration calibrate_switchback_aa(
-    std::span<const video::SessionRecord> rows, Metric metric,
-    std::uint32_t days, const AnalysisOptions& options) {
+DesignCalibration calibrate_switchback_aa(std::span<const Observation> rows,
+                                          std::uint32_t days,
+                                          const AnalysisOptions& options) {
+  const auto contrast = aa_link_contrast(rows, static_cast<int>(days) - 1);
   DesignCalibration calibration;
   const std::uint32_t combos = 1u << days;
   for (std::uint32_t mask = 1; mask + 1 < combos; ++mask) {
@@ -59,53 +47,21 @@ DesignCalibration calibrate_switchback_aa(
     for (std::uint32_t d = 0; d < days; ++d) {
       sb.day_treated[d] = (mask >> d) & 1u;
     }
-    // A/A: both "arms" draw control rows; the treated source is link 0's
-    // control traffic relabeled — no real treatment anywhere.
-    std::vector<Observation> obs;
-    for (const auto& row : rows) {
-      if (row.treated || row.day >= days) continue;
-      const bool treated_day = sb.day_treated[row.day];
-      if (treated_day && row.link != 0) continue;
-      if (!treated_day && row.link != 1) continue;
-      Observation o;
-      o.unit = row.session_id;
-      o.account = row.account_id;
-      o.treated = treated_day;
-      o.outcome = metric_value(row, metric);
-      o.hour_of_day = row.hour;
-      o.hour_index = static_cast<std::uint64_t>(row.day) * 24 + row.hour;
-      o.day = row.day;
-      obs.push_back(o);
-    }
-    calibration =
-        accumulate(calibration, hourly_fe_analysis(obs, options));
+    calibration = accumulate(calibration, switchback_tte(contrast, sb));
   }
   return calibration;
 }
 
-DesignCalibration calibrate_event_study_aa(
-    std::span<const video::SessionRecord> rows, Metric metric,
-    std::uint32_t days, const AnalysisOptions& options) {
+DesignCalibration calibrate_event_study_aa(std::span<const Observation> rows,
+                                           std::uint32_t days,
+                                           const AnalysisOptions& options) {
+  const auto contrast = aa_link_contrast(rows, static_cast<int>(days) - 1);
   DesignCalibration calibration;
   for (std::uint32_t switch_day = 1; switch_day < days; ++switch_day) {
-    std::vector<Observation> obs;
-    for (const auto& row : rows) {
-      if (row.treated || row.day >= days) continue;
-      const bool post = row.day >= switch_day;
-      if (post && row.link != 0) continue;
-      if (!post && row.link != 1) continue;
-      Observation o;
-      o.unit = row.session_id;
-      o.account = row.account_id;
-      o.treated = post;
-      o.outcome = metric_value(row, metric);
-      o.hour_of_day = row.hour;
-      o.hour_index = static_cast<std::uint64_t>(row.day) * 24 + row.hour;
-      o.day = row.day;
-      obs.push_back(o);
-    }
-    calibration =
-        accumulate(calibration, hourly_fe_analysis(obs, options));
+    EventStudyOptions es;
+    es.switch_day = switch_day;
+    es.analysis = options;
+    calibration = accumulate(calibration, event_study_tte(contrast, es));
   }
   return calibration;
 }

@@ -6,10 +6,12 @@
 //  * Link similarity (the Section 4.1 baseline week): compare links on
 //    every metric; significant differences are pre-existing imbalances
 //    that must be accounted for (the paper found rebuffer imbalance).
+//    This is the hourly FE read of `aa_link_contrast` (aa/null's
+//    link_diff rows).
 //  * Design false positives: run the switchback / event-study analysis
-//    over A/A data with every possible interval assignment and count
-//    significant results. The paper found zero for switchbacks and
-//    majority-of-metrics false positives for event studies.
+//    over the same A/A contrast with every possible interval assignment
+//    and count significant results. The paper found zero for switchbacks
+//    and majority-of-metrics false positives for event studies.
 #pragma once
 
 #include <span>
@@ -20,16 +22,11 @@
 
 namespace xp::core {
 
-struct LinkSimilarityRow {
-  Metric metric = Metric::kThroughput;
-  EffectEstimate difference;  ///< link0 - link1, hourly FE pipeline
-};
-
-/// Section 4.1 style baseline comparison: for every metric, estimate the
-/// link0-vs-link1 difference on all-control data.
-std::vector<LinkSimilarityRow> link_similarity(
-    std::span<const video::SessionRecord> rows,
-    const AnalysisOptions& options = {});
+/// The A/A contrast: link 0's control rows labelled A = 1 against link
+/// 1's control rows labelled A = 0 — no real treatment anywhere. Only
+/// rows with `day <= day_max` are kept; -1 keeps every day.
+std::vector<Observation> aa_link_contrast(std::span<const Observation> rows,
+                                          int day_max = -1);
 
 struct DesignCalibration {
   std::size_t assignments_tested = 0;
@@ -38,14 +35,16 @@ struct DesignCalibration {
 };
 
 /// Exhaustively test every day assignment (with >=1 day per arm) of a
-/// switchback over A/A data for one metric; count false positives.
-DesignCalibration calibrate_switchback_aa(
-    std::span<const video::SessionRecord> rows, Metric metric,
-    std::uint32_t days, const AnalysisOptions& options = {});
+/// switchback over the A/A contrast of days [0, days) of a metric column
+/// (rows keep their own arm labels; group is the link); count false
+/// positives.
+DesignCalibration calibrate_switchback_aa(std::span<const Observation> rows,
+                                          std::uint32_t days,
+                                          const AnalysisOptions& options = {});
 
-/// Test every switch day of an event study over A/A data for one metric.
+/// Test every switch day of an event study over the same A/A contrast.
 DesignCalibration calibrate_event_study_aa(
-    std::span<const video::SessionRecord> rows, Metric metric,
-    std::uint32_t days, const AnalysisOptions& options = {});
+    std::span<const Observation> rows, std::uint32_t days,
+    const AnalysisOptions& options = {});
 
 }  // namespace xp::core

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "util/string_registry.h"
+#include "core/aa_test.h"
 #include "core/data_quality.h"
 #include "core/designs/event_study.h"
 #include "core/designs/paired_link.h"
@@ -614,14 +615,8 @@ class AaNullEstimator final : public BuiltinEstimator {
         out.push_back(replicate_row(
             report, a, metric, "link_diff" + suffix,
             Estimand::kAverageTreatmentEffect, [&](std::size_t r) {
-              const Rows rows = metric_column(report, a, r, metric);
-              RowFilter link0;
-              link0.link = 0;
-              link0.treated = 0;
-              RowFilter link1;
-              link1.link = 1;
-              link1.treated = 0;
-              const auto obs = cross_cell_contrast(rows, link0, link1);
+              const auto obs =
+                  aa_link_contrast(metric_column(report, a, r, metric));
               return guarded(
                   [&] { return hourly_ok(obs); },
                   [&] { return hourly_fe_analysis(obs, options.analysis); });

@@ -1,5 +1,6 @@
 #include "trace/codec.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
@@ -55,7 +56,7 @@ constexpr FieldDesc kFields[kFieldCount] = {
     {FieldType::kF64, offsetof(TraceRecord, stability)},
 };
 
-std::size_t field_size(FieldType type) noexcept {
+constexpr std::size_t field_size(FieldType type) noexcept {
   switch (type) {
     case FieldType::kU64:
       return 8;
@@ -68,6 +69,13 @@ std::size_t field_size(FieldType type) noexcept {
   }
   return 0;
 }
+
+/// Bytes one row takes in the binary codec (fields packed, no padding).
+constexpr std::size_t kPackedRowSize = [] {
+  std::size_t size = 0;
+  for (const FieldDesc& field : kFields) size += field_size(field.type);
+  return size;
+}();
 
 [[noreturn]] void fail(const std::string& message) {
   throw std::invalid_argument("trace: " + message);
@@ -351,6 +359,17 @@ void write_binary(std::ostream& out, const TraceLog& log) {
   }
 }
 
+/// Bytes between the read position and the end of `in`; 0 when the
+/// stream cannot seek (the reader then grows the table as rows arrive).
+std::uint64_t bytes_left(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return 0;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  return end > here ? static_cast<std::uint64_t>(end - here) : 0;
+}
+
 template <typename T>
 bool get(std::istream& in, T& value) {
   in.read(reinterpret_cast<char*>(&value), sizeof value);
@@ -400,7 +419,10 @@ TraceLog read_binary(std::istream& in) {
 
   std::uint64_t row_count = 0;
   if (!get(in, row_count)) fail("binary: truncated header (row count)");
-  log.records.reserve(static_cast<std::size_t>(row_count));
+  // The count is untrusted: reserve only the rows the bytes left can
+  // hold, so a lying header fails as a truncated row, not in reserve().
+  log.records.reserve(static_cast<std::size_t>(
+      std::min(row_count, bytes_left(in) / kPackedRowSize)));
   for (std::uint64_t r = 0; r < row_count; ++r) {
     TraceRecord record;
     char* base = reinterpret_cast<char*>(&record);

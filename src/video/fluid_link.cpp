@@ -184,10 +184,8 @@ double max_min_fair_allocation_presummed(std::span<const double> demands,
   return grant_at_level(d, alloc.data(), n, level);
 }
 
-double max_min_fair_allocation_into(
-    std::span<const double> demands, double capacity, std::span<double> alloc,
-    std::vector<std::uint32_t>& order_scratch) {
-  (void)order_scratch;  // kept for API stability; the fill is index-free now
+double max_min_fair_allocation_into(std::span<const double> demands,
+                                    double capacity, std::span<double> alloc) {
   if (demands.empty()) return 0.0;
   if (capacity <= 0.0) {
     std::fill(alloc.begin(), alloc.end(), 0.0);
@@ -205,8 +203,7 @@ std::vector<double> max_min_fair_allocation(std::span<const double> demands,
                                             double capacity) {
   std::vector<double> alloc(demands.size(), 0.0);
   if (demands.empty() || capacity <= 0.0) return alloc;
-  std::vector<std::uint32_t> order;
-  max_min_fair_allocation_into(demands, capacity, alloc, order);
+  max_min_fair_allocation_into(demands, capacity, alloc);
   return alloc;
 }
 

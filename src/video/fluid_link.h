@@ -136,11 +136,9 @@ std::vector<double> max_min_fair_allocation(std::span<const double> demands,
 /// summation order). Zero and negative demands are granted 0. Every pass
 /// is a dense branch-free sweep over the full demand array — the water
 /// level is refined by re-scanning rather than compacting an index list,
-/// which keeps the loops vectorizable; `order_scratch` is unused but kept
-/// so callers' reusable-scratch plumbing stays source-compatible.
+/// which keeps the loops vectorizable.
 double max_min_fair_allocation_into(std::span<const double> demands,
-                                    double capacity, std::span<double> alloc,
-                                    std::vector<std::uint32_t>& order_scratch);
+                                    double capacity, std::span<double> alloc);
 
 /// As above, but the caller supplies the positive-demand sum and count
 /// (typically fused into its own sweep that produced `demands`), skipping

@@ -404,7 +404,7 @@ void SessionPool::advance_all(double dt, std::span<const double> alloc,
                               double rtt, double loss,
                               StallSampler* stalls) {
   // No-op when gather_demand just ran; restores the partition for callers
-  // that add() and advance directly (the pool-of-one Session wrapper).
+  // that add() and advance directly (a pool of one in unit tests).
   repartition();
   const std::size_t n = state_.size();
   const std::size_t policies = policies_.size();

@@ -18,9 +18,9 @@
 // that moved. Retiring pops the done bucket off the tail, so the
 // steady-state tick still performs zero heap allocations.
 //
-// The scalar `Session` class (session.h) is a pool-of-one wrapper kept for
-// unit tests and external callers; the state-machine arithmetic lives
-// here, in exactly one place.
+// The state-machine arithmetic lives here, in exactly one place: unit
+// tests drive a single session as a pool of one through the per-slot
+// accessors below.
 #pragma once
 
 #include <cstdint>
@@ -136,7 +136,7 @@ class StallSampler {
 class SessionPool {
  public:
   /// Single-policy pool: every session runs the hybrid ABR with `abr` —
-  /// the pre-policy behavior (Session wrapper, unit tests).
+  /// the pre-policy behavior (pool-of-one unit tests).
   SessionPool(const SessionParams& params, const AbrConfig& abr);
 
   /// Policy-table pool: `policies` is the dispatch table Arrival::policy
@@ -222,7 +222,7 @@ class SessionPool {
   /// Sink form of the flush, same record order as the vector overload.
   void flush_all(const std::function<void(const SessionRecord&)>& sink) const;
 
-  // ----- per-slot accessors (the Session wrapper and tests) ----------
+  // ----- per-slot accessors (tests) -----------------------------------
 
   SessionState state(std::size_t i) const noexcept { return state_[i]; }
   double buffer_seconds(std::size_t i) const noexcept {

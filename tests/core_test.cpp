@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "core/aa_test.h"
 #include "core/analysis.h"
 #include "core/estimands.h"
 #include "stats/rng.h"
@@ -138,6 +139,81 @@ TEST(EffectEstimate, RelativeHandlesZeroBaseline) {
   EXPECT_DOUBLE_EQ(e.relative(), 0.0);
   e.baseline = 10.0;
   EXPECT_DOUBLE_EQ(e.relative(), 0.5);
+}
+
+/// An A/A paired-link metric column (group = link): every hour of `days`
+/// days carries control rows on both links drawn from one distribution,
+/// plus `link0_shift` on link 0's control rows. Treated rows carry a huge
+/// outcome that the A/A calibrations must never read.
+std::vector<Observation> two_link_column(int days, double link0_shift,
+                                         std::uint64_t seed) {
+  stats::Rng rng(seed);
+  std::vector<Observation> rows;
+  std::uint64_t unit = 0;
+  for (int day = 0; day < days; ++day) {
+    for (int hour = 0; hour < 24; ++hour) {
+      const double base = 100.0 + 10.0 * std::sin(hour / 24.0 * 6.283);
+      for (int i = 0; i < 20; ++i) {
+        Observation obs;
+        obs.unit = obs.account = unit++;
+        obs.group = static_cast<std::uint8_t>(i % 2);
+        obs.treated = i % 10 == 9;
+        obs.outcome = obs.treated ? 1e6 : base + rng.normal(0.0, 5.0);
+        if (!obs.treated && obs.group == 0) obs.outcome += link0_shift;
+        obs.hour_of_day = hour;
+        obs.hour_index = static_cast<std::uint64_t>(day) * 24 + hour;
+        obs.day = day;
+        rows.push_back(obs);
+      }
+    }
+  }
+  return rows;
+}
+
+TEST(AaCalibration, TestsEveryAssignment) {
+  const auto rows = two_link_column(4, 0.0, 3);
+  EXPECT_EQ(calibrate_switchback_aa(rows, 4).assignments_tested, 14u);
+  EXPECT_EQ(calibrate_event_study_aa(rows, 4).assignments_tested, 3u);
+  EXPECT_EQ(calibrate_switchback_aa(rows, 3).assignments_tested, 6u);
+  EXPECT_EQ(calibrate_event_study_aa(rows, 3).assignments_tested, 2u);
+}
+
+TEST(AaCalibration, IdenticalLinksGiveNoSwitchbackFalsePositives) {
+  // A pinned realization, not a guarantee: on this 4-day column the
+  // hourly FE + Newey-West read is anticonservative (about 11% of
+  // assignments significant over seeds 1-200), so some seeds see one.
+  const auto calibration =
+      calibrate_switchback_aa(two_link_column(4, 0.0, 1), 4);
+  EXPECT_EQ(calibration.false_positives, 0u);
+  EXPECT_LT(calibration.max_abs_relative_estimate, 0.05);
+}
+
+TEST(AaCalibration, ShiftedLinkMakesEverySwitchbackSignificant) {
+  // Link 0 sits 50 above link 1 with noise sd 5: every assignment with
+  // at least one day per arm sees it.
+  const auto calibration =
+      calibrate_switchback_aa(two_link_column(4, 50.0, 5), 4);
+  EXPECT_EQ(calibration.false_positives, calibration.assignments_tested);
+  EXPECT_GT(calibration.max_abs_relative_estimate, 0.2);
+}
+
+TEST(AaCalibration, IgnoresDaysPastTheWindow) {
+  const auto rows = two_link_column(3, 0.0, 7);
+  auto padded = rows;
+  for (Observation obs : two_link_column(5, 80.0, 8)) {
+    if (obs.day < 3) continue;
+    padded.push_back(obs);
+  }
+  const auto expect_same = [](const DesignCalibration& a,
+                              const DesignCalibration& b) {
+    EXPECT_EQ(a.assignments_tested, b.assignments_tested);
+    EXPECT_EQ(a.false_positives, b.false_positives);
+    EXPECT_EQ(a.max_abs_relative_estimate, b.max_abs_relative_estimate);
+  };
+  expect_same(calibrate_switchback_aa(rows, 3),
+              calibrate_switchback_aa(padded, 3));
+  expect_same(calibrate_event_study_aa(rows, 3),
+              calibrate_event_study_aa(padded, 3));
 }
 
 TEST(EstimandNames, AllNamed) {

@@ -37,6 +37,12 @@ const video::ClusterResult& experiment_run() {
   return result;
 }
 
+/// One metric column over every session: the rows every design reads.
+std::vector<core::Observation> column(const video::ClusterResult& run,
+                                      core::Metric metric) {
+  return core::select(run.sessions, metric, core::RowFilter{});
+}
+
 TEST(PairedLinkWorld, ProducesBalancedLinks) {
   const auto& run = experiment_run();
   EXPECT_GT(run.sessions.size(), 10000u);
@@ -76,8 +82,8 @@ TEST(PairedLinkWorld, CappedLinkLessCongested) {
 
 TEST(PairedLinkAnalysis, SmokingGunStructure) {
   const auto& run = experiment_run();
-  const core::PairedLinkReport report = core::analyze_paired_link(
-      run.sessions, core::Metric::kMinRtt);
+  const core::PairedLinkReport report =
+      core::analyze_paired_link(column(run, core::Metric::kMinRtt));
   // Within-link (naive) differences are tiny compared to the cross-link
   // (TTE) difference: treatment and control share the queue.
   const double within0 = std::fabs(report.cell_mean[0][1] -
@@ -98,21 +104,19 @@ TEST(PairedLinkAnalysis, SmokingGunStructure) {
 
 TEST(PairedLinkAnalysis, BitrateDropsRoughlyAQuarter) {
   const auto& run = experiment_run();
-  const auto report = core::analyze_paired_link(
-      run.sessions, core::Metric::kBitrate);
+  const auto report =
+      core::analyze_paired_link(column(run, core::Metric::kBitrate));
   EXPECT_LT(report.tte.relative(), -0.15);
   EXPECT_GT(report.tte.relative(), -0.45);
 }
 
 TEST(PairedLinkAnalysis, AllMetricsProduceFiniteEstimates) {
   const auto& run = experiment_run();
-  const auto reports = core::analyze_all_metrics(run.sessions);
-  EXPECT_EQ(reports.size(), std::size(core::kAllMetrics));
-  for (const auto& report : reports) {
-    EXPECT_TRUE(std::isfinite(report.tte.estimate))
-        << metric_name(report.metric);
+  for (const core::Metric metric : core::kAllMetrics) {
+    const auto report = core::analyze_paired_link(column(run, metric));
+    EXPECT_TRUE(std::isfinite(report.tte.estimate)) << metric_name(metric);
     EXPECT_TRUE(std::isfinite(report.spillover.std_error))
-        << metric_name(report.metric);
+        << metric_name(metric);
     EXPECT_LE(report.tte.ci_low, report.tte.ci_high);
   }
 }
@@ -129,32 +133,27 @@ TEST(SelectAdapter, FiltersAndRelabels) {
 }
 
 TEST(Switchback, EstimatesTteCloseToPairedLink) {
-  const auto& run = experiment_run();
-  const auto paired =
-      core::analyze_paired_link(run.sessions, core::Metric::kMinRtt);
+  const auto min_rtt = column(experiment_run(), core::Metric::kMinRtt);
+  const auto paired = core::analyze_paired_link(min_rtt);
   core::SwitchbackOptions options;
   options.day_treated = {true, false};  // 2-day run
-  const auto tte = core::switchback_tte(run.sessions,
-                                        core::Metric::kMinRtt, options);
+  const auto tte = core::switchback_tte(min_rtt, options);
   // Same sign; magnitudes comparable (wide tolerance: 1 day per arm).
   EXPECT_LT(tte.estimate, 0.0);
   EXPECT_NEAR(tte.relative(), paired.tte.relative(), 0.35);
 }
 
 TEST(Switchback, RequiresAssignment) {
-  const auto& run = experiment_run();
+  const auto min_rtt = column(experiment_run(), core::Metric::kMinRtt);
   core::SwitchbackOptions options;  // empty day_treated
-  EXPECT_THROW(core::switchback_tte(run.sessions, core::Metric::kMinRtt,
-                                    options),
-               std::invalid_argument);
+  EXPECT_THROW(core::switchback_tte(min_rtt, options), std::invalid_argument);
 }
 
 TEST(EventStudy, EstimatesTteWithSign) {
-  const auto& run = experiment_run();
   core::EventStudyOptions options;
   options.switch_day = 1;  // day 0 control, day 1 treated
-  const auto tte = core::event_study_tte(run.sessions,
-                                         core::Metric::kMinRtt, options);
+  const auto tte = core::event_study_tte(
+      column(experiment_run(), core::Metric::kMinRtt), options);
   EXPECT_LT(tte.estimate, 0.0);
 }
 
@@ -167,15 +166,12 @@ TEST(AaCalibration, LinkSimilarityDetectsRebufferImbalance) {
   config.treat_probability[0] = 0.0;
   config.treat_probability[1] = 0.0;
   const auto baseline = video::run_paired_links(config);
-  const auto rows = core::link_similarity(baseline.sessions);
-  EXPECT_EQ(rows.size(), std::size(core::kAllMetrics));
   // Congestion metrics should NOT differ between identical links...
-  for (const auto& row : rows) {
-    if (row.metric == core::Metric::kMinRtt ||
-        row.metric == core::Metric::kBitrate) {
-      EXPECT_LT(std::fabs(row.difference.relative()), 0.10)
-          << metric_name(row.metric);
-    }
+  for (const core::Metric metric :
+       {core::Metric::kMinRtt, core::Metric::kBitrate}) {
+    const auto difference = core::hourly_fe_analysis(
+        core::aa_link_contrast(column(baseline, metric)));
+    EXPECT_LT(std::fabs(difference.relative()), 0.10) << metric_name(metric);
   }
 }
 

@@ -1,9 +1,8 @@
-// Welch t-tests, bootstrap, power analysis, autocorrelation.
+// Welch t-tests, bootstrap, power analysis.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "stats/autocorr.h"
 #include "stats/bootstrap.h"
 #include "stats/descriptive.h"
 #include "stats/power.h"
@@ -164,44 +163,6 @@ TEST(Power, InvalidInputsThrow) {
   spec.effect = 0.5;
   spec.allocation = 0.0;
   EXPECT_THROW(required_sample_size(spec), std::invalid_argument);
-}
-
-TEST(Autocorr, WhiteNoiseNearZero) {
-  Rng rng(29);
-  std::vector<double> xs(5000);
-  for (auto& x : xs) x = rng.normal(0.0, 1.0);
-  EXPECT_NEAR(autocorrelation(xs, 1), 0.0, 0.05);
-  EXPECT_DOUBLE_EQ(autocorrelation(xs, 0), 1.0);
-}
-
-TEST(Autocorr, Ar1SignatureDetected) {
-  Rng rng(31);
-  std::vector<double> xs(5000);
-  double e = 0.0;
-  for (auto& x : xs) {
-    e = 0.7 * e + rng.normal(0.0, 1.0);
-    x = e;
-  }
-  EXPECT_NEAR(autocorrelation(xs, 1), 0.7, 0.05);
-  EXPECT_GT(ljung_box_q(xs, 5), 100.0);
-}
-
-TEST(Autocorr, BartlettWeightsShape) {
-  const auto w = bartlett_weights(2);
-  ASSERT_EQ(w.size(), 3u);
-  EXPECT_DOUBLE_EQ(w[0], 1.0);
-  EXPECT_NEAR(w[1], 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(w[2], 1.0 / 3.0, 1e-12);
-}
-
-TEST(Autocorr, DiffAndMovingAverage) {
-  const std::vector<double> xs{1.0, 3.0, 6.0, 10.0};
-  const auto d = diff(xs);
-  ASSERT_EQ(d.size(), 3u);
-  EXPECT_DOUBLE_EQ(d[2], 4.0);
-  const auto ma = moving_average(xs, 3);
-  EXPECT_NEAR(ma[1], (1.0 + 3.0 + 6.0) / 3.0, 1e-12);
-  EXPECT_NEAR(ma[0], (1.0 + 3.0) / 2.0, 1e-12);  // truncated edge
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -234,6 +235,31 @@ TEST(TraceCodec, TruncatedBinaryNamesRowAndField) {
     EXPECT_NE(message.find("row 3"), std::string::npos) << message;
     EXPECT_NE(message.find("truncated"), std::string::npos) << message;
     EXPECT_NE(message.find("field '"), std::string::npos) << message;
+  }
+}
+
+TEST(TraceCodec, LyingBinaryRowCountIsNamedNotAllocated) {
+  // A header-only file whose row count claims far more rows than follow
+  // must fail naming the first missing field, not reserve the claimed
+  // count (2^36 rows is a bad_alloc, 2^62 a length_error).
+  std::ostringstream out;
+  trace::write_trace(out, make_log(0), trace::TraceFormat::kBinary);
+  const std::string header = out.str();  // ends with the u64 row count
+  for (const int shift : {20, 36, 62}) {
+    std::string bytes = header;
+    const std::uint64_t rows = std::uint64_t{1} << shift;
+    std::memcpy(bytes.data() + bytes.size() - sizeof rows, &rows,
+                sizeof rows);
+    std::istringstream in(bytes);
+    try {
+      trace::read_trace(in, trace::TraceFormat::kBinary);
+      FAIL() << "expected std::invalid_argument for 2^" << shift << " rows";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("row 0 "), std::string::npos) << message;
+      EXPECT_NE(message.find("field 'session_id'"), std::string::npos)
+          << message;
+    }
   }
 }
 

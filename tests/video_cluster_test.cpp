@@ -150,7 +150,6 @@ TEST(WaterFilling, IntoVariantMatchesReferenceWaterFill) {
   // iterative level refinement) must agree with a straightforward sorted
   // water-fill on arbitrary demand mixes.
   stats::Rng rng(5);
-  std::vector<std::uint32_t> scratch;
   for (int rep = 0; rep < 200; ++rep) {
     const std::size_t n = 1 + rng.uniform_int(40);
     std::vector<double> demands(n);
@@ -178,8 +177,8 @@ TEST(WaterFilling, IntoVariantMatchesReferenceWaterFill) {
     }
 
     std::vector<double> alloc(n);
-    const double delivered = video::max_min_fair_allocation_into(
-        demands, capacity, alloc, scratch);
+    const double delivered =
+        video::max_min_fair_allocation_into(demands, capacity, alloc);
     double expected_total = 0.0, total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(alloc[i], expected[i], 1e-9 * (1.0 + expected[i]));

@@ -2,12 +2,15 @@
 // state machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "stats/rng.h"
 #include "video/abr.h"
 #include "video/bitrate.h"
 #include "video/demand.h"
 #include "video/fluid_link.h"
-#include "video/session.h"
+#include "video/session_pool.h"
 
 namespace xp::video {
 namespace {
@@ -249,21 +252,53 @@ SessionParams fast_session_params() {
   return params;
 }
 
-Session make_session(xp::stats::Rng& rng, double ceiling = 16e6,
-                     double duration = 600.0) {
-  return Session(1, 1, 0, false, 0.0, duration, BitrateLadder::standard(),
-                 AbrConfig{}, ceiling, fast_session_params(), rng);
-}
+/// One session in a pool of one, driven through the pool's per-slot state
+/// machine. The arrival makes the same rng draws as a cluster arrival
+/// (patience, then access rate) and plays `ceiling`'s capped ladder.
+struct PoolOfOne {
+  explicit PoolOfOne(xp::stats::Rng& rng, double ceiling = 16e6,
+                     double duration = 600.0)
+      : ladder(BitrateLadder::standard().capped(ceiling)),
+        pool(fast_session_params(), AbrConfig{}) {
+    const SessionParams params = fast_session_params();
+    SessionPool::Arrival arrival;
+    arrival.id = 1;
+    arrival.account = 1;
+    arrival.duration = duration;
+    arrival.ladder = &ladder;
+    arrival.patience =
+        rng.uniform(params.cancel_patience_min, params.cancel_patience_max);
+    arrival.access_rate_bps = std::clamp(
+        rng.lognormal(std::log(params.access_rate_median),
+                      params.access_rate_sigma),
+        params.access_rate_min, params.access_rate_max);
+    pool.add(arrival);
+  }
+  PoolOfOne(const PoolOfOne&) = delete;  // the pool points at `ladder`
+  PoolOfOne& operator=(const PoolOfOne&) = delete;
+
+  /// One tick at link rate `rate_bps`, RTT `rtt` and loss fraction `loss`.
+  void advance(double dt, double rate_bps, double rtt, double loss) {
+    const double alloc[1] = {rate_bps};
+    pool.advance_all(dt, alloc, rtt, loss);
+  }
+  SessionState state() const noexcept { return pool.state(0); }
+  bool finished() const noexcept { return state() == SessionState::kDone; }
+  SessionRecord finalize() const { return pool.finalize(0); }
+
+  BitrateLadder ladder;
+  SessionPool pool;
+};
 
 TEST(Session, StartsInStartupAndBeginsPlaying) {
   xp::stats::Rng rng(1);
-  Session session = make_session(rng);
-  EXPECT_EQ(session.state(), Session::State::kStartup);
+  PoolOfOne session(rng);
+  EXPECT_EQ(session.state(), SessionState::kStartup);
   // Grant a generous rate: startup completes in the first ticks.
   for (int i = 0; i < 5 && !0; ++i) {
     session.advance(1.0, 20e6, 0.03, 0.0);
   }
-  EXPECT_EQ(session.state(), Session::State::kPlaying);
+  EXPECT_EQ(session.state(), SessionState::kPlaying);
   const SessionRecord r = session.finalize();
   EXPECT_GT(r.play_delay, 0.0);
   EXPECT_LT(r.play_delay, 3.0);
@@ -271,7 +306,7 @@ TEST(Session, StartsInStartupAndBeginsPlaying) {
 
 TEST(Session, StarvedSessionCancels) {
   xp::stats::Rng rng(2);
-  Session session = make_session(rng);
+  PoolOfOne session(rng);
   for (int i = 0; i < 120 && !session.finished(); ++i) {
     session.advance(1.0, 1e3, 0.03, 0.0);  // 1 kb/s: hopeless
   }
@@ -281,9 +316,9 @@ TEST(Session, StarvedSessionCancels) {
 
 TEST(Session, RebuffersWhenRateCollapses) {
   xp::stats::Rng rng(3);
-  Session session = make_session(rng);
+  PoolOfOne session(rng);
   for (int i = 0; i < 30; ++i) session.advance(1.0, 20e6, 0.03, 0.0);
-  EXPECT_EQ(session.state(), Session::State::kPlaying);
+  EXPECT_EQ(session.state(), SessionState::kPlaying);
   // Starve long enough to drain the buffer entirely.
   for (int i = 0; i < 120; ++i) session.advance(1.0, 0.0, 0.03, 0.0);
   const SessionRecord r = session.finalize();
@@ -294,7 +329,7 @@ TEST(Session, RebuffersWhenRateCollapses) {
 
 TEST(Session, CompletesAfterDuration) {
   xp::stats::Rng rng(4);
-  Session session = make_session(rng, 16e6, 120.0);
+  PoolOfOne session(rng, 16e6, 120.0);
   for (int i = 0; i < 300 && !session.finished(); ++i) {
     session.advance(1.0, 20e6, 0.03, 0.0);
   }
@@ -307,7 +342,7 @@ TEST(Session, CompletesAfterDuration) {
 
 TEST(Session, MinRttTracksLowestSeen) {
   xp::stats::Rng rng(5);
-  Session session = make_session(rng);
+  PoolOfOne session(rng);
   session.advance(1.0, 20e6, 0.050, 0.0);
   session.advance(1.0, 20e6, 0.030, 0.0);
   session.advance(1.0, 20e6, 0.200, 0.0);
@@ -316,7 +351,7 @@ TEST(Session, MinRttTracksLowestSeen) {
 
 TEST(Session, LossShowsUpAsRetransmits) {
   xp::stats::Rng rng(6);
-  Session session = make_session(rng);
+  PoolOfOne session(rng);
   for (int i = 0; i < 60; ++i) session.advance(1.0, 10e6, 0.03, 0.02);
   const SessionRecord r = session.finalize();
   EXPECT_GT(r.retransmit_fraction, 0.015);
@@ -325,7 +360,7 @@ TEST(Session, LossShowsUpAsRetransmits) {
 
 TEST(Session, CappedCeilingLimitsBitrate) {
   xp::stats::Rng rng(7);
-  Session session = make_session(rng, 1750e3, 300.0);
+  PoolOfOne session(rng, 1750e3, 300.0);
   for (int i = 0; i < 400 && !session.finished(); ++i) {
     session.advance(1.0, 50e6, 0.03, 0.0);
   }
@@ -334,10 +369,10 @@ TEST(Session, CappedCeilingLimitsBitrate) {
 
 TEST(Session, SpuriousRebufferInjection) {
   xp::stats::Rng rng(8);
-  Session session = make_session(rng);
+  PoolOfOne session(rng);
   for (int i = 0; i < 20; ++i) session.advance(1.0, 20e6, 0.03, 0.0);
-  ASSERT_EQ(session.state(), Session::State::kPlaying);
-  session.inject_spurious_rebuffer(1.5);
+  ASSERT_EQ(session.state(), SessionState::kPlaying);
+  session.pool.inject_spurious_rebuffer(0, 1.5);
   const SessionRecord r = session.finalize();
   EXPECT_EQ(r.rebuffer_count, 1u);
   EXPECT_DOUBLE_EQ(r.rebuffer_seconds, 1.5);

@@ -54,14 +54,6 @@ CompletionManifest ExperimentReport::manifest() const noexcept {
   return manifest;
 }
 
-bool ExperimentReport::has_estimates(
-    std::string_view estimator) const noexcept {
-  for (const EstimateTable& table : estimates) {
-    if (table.estimator == estimator) return true;
-  }
-  return false;
-}
-
 const EstimateTable& ExperimentReport::estimates_for(
     std::string_view estimator) const {
   for (const EstimateTable& table : estimates) {

@@ -108,8 +108,6 @@ struct ExperimentReport {
   /// Roll up the per-cell statuses (see CompletionManifest).
   CompletionManifest manifest() const noexcept;
 
-  bool has_estimates(std::string_view estimator) const noexcept;
-
   /// The table a named estimator produced; throws std::invalid_argument
   /// listing the estimators that did run on a miss.
   const EstimateTable& estimates_for(std::string_view estimator) const;

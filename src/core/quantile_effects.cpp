@@ -22,7 +22,7 @@ void split_arms(std::span<const Observation> rows, std::vector<double>& treated,
 void require_arm_sizes(std::size_t treated, std::size_t control) {
   if (treated < 10 || control < 10) {
     throw std::invalid_argument(
-        "quantile_treatment_effect: need >= 10 units per arm");
+        "quantile_effect_ladder: need >= 10 units per arm");
   }
 }
 
@@ -34,7 +34,7 @@ stats::RankedSample rank_arm(std::span<const double> outcomes,
   for (double x : outcomes) {
     if (!std::isfinite(x)) {
       throw std::invalid_argument(
-          std::string("quantile_treatment_effect: non-finite outcome in the ") +
+          std::string("quantile_effect_ladder: non-finite outcome in the ") +
           arm + " arm");
     }
   }
@@ -63,22 +63,6 @@ EffectEstimate ranked_effect(const stats::RankedSample& treated,
 }
 
 }  // namespace
-
-EffectEstimate quantile_treatment_effect(
-    std::span<const Observation> rows, double q,
-    const QuantileEffectOptions& options, util::Runner* runner) {
-  std::vector<double> treated, control;
-  split_arms(rows, treated, control);
-  return quantile_treatment_effect(treated, control, q, options, runner);
-}
-
-EffectEstimate quantile_treatment_effect(
-    std::span<const double> treated, std::span<const double> control,
-    double q, const QuantileEffectOptions& options, util::Runner* runner) {
-  require_arm_sizes(treated.size(), control.size());
-  return ranked_effect(rank_arm(treated, "treated"),
-                       rank_arm(control, "control"), q, options, runner);
-}
 
 std::vector<QuantileEffectRow> quantile_effect_ladder(
     std::span<const Observation> rows, std::span<const double> quantiles,

@@ -25,28 +25,6 @@ struct QuantileEffectOptions {
   std::uint64_t seed = 7;
 };
 
-/// Quantile-q treatment effect: Q_q(treated) - Q_q(control), with a
-/// percentile-bootstrap interval (arms resampled independently).
-/// `runner` controls where bootstrap replicates fan out (null = the
-/// process-wide runner); results are identical at any thread count.
-/// Each arm is sorted once and every replicate is read off per-rank draw
-/// counts (stats::bootstrap_quantile_difference_ci). Throws
-/// std::invalid_argument, naming the arm, if an arm has fewer than 10
-/// units or a NaN or infinite outcome.
-EffectEstimate quantile_treatment_effect(
-    std::span<const Observation> rows, double q,
-    const QuantileEffectOptions& options = {},
-    util::Runner* runner = nullptr);
-
-/// Pre-partitioned form: callers that evaluate several quantiles over the
-/// same rows (the ladder below) split the arms once and reuse the
-/// outcome vectors, instead of re-scanning the observation table per
-/// rung. Identical results to the row-based overload.
-EffectEstimate quantile_treatment_effect(
-    std::span<const double> treated, std::span<const double> control,
-    double q, const QuantileEffectOptions& options = {},
-    util::Runner* runner = nullptr);
-
 /// A ladder of quantile effects (e.g. median, p90, p99) for one metric —
 /// congestion interference often concentrates in the tail, so the tail
 /// effects can disagree with the mean effect in both size and sign.
@@ -55,9 +33,15 @@ struct QuantileEffectRow {
   EffectEstimate effect;
 };
 
-/// Ranks each arm once and shares the ranking, read-only, across rungs;
-/// rung i bootstraps with seed `options.seed + i + 1`. Same guards as
-/// quantile_treatment_effect.
+/// Each rung is Q_q(treated) - Q_q(control) with a percentile-bootstrap
+/// interval (arms resampled independently). Each arm is sorted once and
+/// the ranking is shared, read-only, across rungs; every replicate is read
+/// off per-rank draw counts (stats::bootstrap_quantile_difference_ci).
+/// Rung i bootstraps with seed `options.seed + i + 1`. `runner` controls
+/// where rungs and replicates fan out (null = the process-wide runner);
+/// results are identical at any thread count. Throws
+/// std::invalid_argument, naming the arm, if an arm has fewer than 10
+/// units or a NaN or infinite outcome.
 std::vector<QuantileEffectRow> quantile_effect_ladder(
     std::span<const Observation> rows,
     std::span<const double> quantiles,

@@ -1,9 +1,8 @@
 // Descriptive statistics over samples of doubles.
 //
 // These are the building blocks for every estimator in the experiment
-// framework: cell means, sample variances, standard errors, and the
-// quantiles used for quantile treatment effects (Section 2, "Note on
-// averages").
+// framework: cell means, sample variances, and the quantiles used for
+// quantile treatment effects (Section 2, "Note on averages").
 #pragma once
 
 #include <cstddef>
@@ -20,9 +19,6 @@ double variance(std::span<const double> xs) noexcept;
 
 /// Sample standard deviation (sqrt of unbiased variance).
 double stddev(std::span<const double> xs) noexcept;
-
-/// Standard error of the mean: sd / sqrt(n). Returns 0 for n < 2.
-double standard_error(std::span<const double> xs) noexcept;
 
 /// Minimum; +inf for empty input.
 double min(std::span<const double> xs) noexcept;
@@ -53,54 +49,5 @@ inline double interpolate(const QuantileBracket& at, double lo_value,
                           double hi_value) noexcept {
   return lo_value + at.frac * (hi_value - lo_value);
 }
-
-/// Median (quantile 0.5).
-double median(std::span<const double> xs);
-
-/// Weighted mean: sum(w*x)/sum(w). Requires equal lengths; returns 0 when
-/// total weight is 0.
-double weighted_mean(std::span<const double> xs,
-                     std::span<const double> weights) noexcept;
-
-/// Streaming mean/variance accumulator (Welford). Numerically stable for
-/// long simulation runs where metric samples arrive one at a time.
-class Accumulator {
- public:
-  void add(double x) noexcept;
-  /// Merge another accumulator (parallel reduction, Chan et al.).
-  void merge(const Accumulator& other) noexcept;
-
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return n_ == 0 ? 0.0 : mean_; }
-  double variance() const noexcept;  ///< Unbiased; 0 for n < 2.
-  double stddev() const noexcept;
-  double standard_error() const noexcept;
-  double min() const noexcept;
-  double max() const noexcept;
-  double sum() const noexcept { return mean_ * static_cast<double>(n_); }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Five-number-style summary used by the report printers.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double p25 = 0.0;
-  double median = 0.0;
-  double p75 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
-};
-
-/// Compute a Summary of a sample (copies and sorts once).
-Summary summarize(std::span<const double> xs);
 
 }  // namespace xp::stats

@@ -9,10 +9,6 @@ namespace {
 constexpr double kPi = 3.14159265358979323846;
 }
 
-double normal_pdf(double x) noexcept {
-  return std::exp(-0.5 * x * x) / std::sqrt(2.0 * kPi);
-}
-
 double normal_cdf(double x) noexcept {
   return 0.5 * std::erfc(-x / std::sqrt(2.0));
 }

@@ -6,9 +6,6 @@
 
 namespace xp::stats {
 
-/// Standard normal probability density.
-double normal_pdf(double x) noexcept;
-
 /// Standard normal CDF via erfc (double precision accurate).
 double normal_cdf(double x) noexcept;
 

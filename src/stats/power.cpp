@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "stats/distributions.h"
 
@@ -10,46 +11,40 @@ namespace xp::stats {
 
 namespace {
 
-/// Variance factor for unequal allocation: Var(diff) ~ sd^2 * f / n where
-/// f = 1/p + 1/(1-p).
-double allocation_factor(double p) {
-  if (p <= 0.0 || p >= 1.0) {
-    throw std::invalid_argument("power: allocation must be in (0,1)");
+/// Throws unless 0 < value < 1. An alpha or power of exactly 0 or 1 has
+/// an infinite z-quantile, which would otherwise cast to a bogus size_t.
+void require_probability(double value, const char* field) {
+  if (!(value > 0.0 && value < 1.0)) {
+    throw std::invalid_argument(std::string("power: ") + field +
+                                " must be in (0,1)");
   }
-  return 1.0 / p + 1.0 / (1.0 - p);
+}
+
+void require_finite(double value, const char* field) {
+  if (!std::isfinite(value)) {
+    throw std::invalid_argument(std::string("power: ") + field +
+                                " must be finite");
+  }
 }
 
 }  // namespace
 
 std::size_t required_sample_size(const PowerSpec& spec) {
+  require_finite(spec.effect, "effect");
+  require_finite(spec.sd, "sd");
+  require_probability(spec.alpha, "alpha");
+  require_probability(spec.power, "power");
+  require_probability(spec.allocation, "allocation");
   if (spec.effect == 0.0) {
     throw std::invalid_argument("power: effect must be nonzero");
   }
   const double z_alpha = normal_inv(1.0 - spec.alpha / 2.0);
   const double z_beta = normal_inv(spec.power);
-  const double f = allocation_factor(spec.allocation);
+  // Variance factor for unequal allocation: Var(diff) ~ sd^2 * f / n.
+  const double f = 1.0 / spec.allocation + 1.0 / (1.0 - spec.allocation);
   const double n = (z_alpha + z_beta) * (z_alpha + z_beta) * spec.sd *
                    spec.sd * f / (spec.effect * spec.effect);
   return static_cast<std::size_t>(std::ceil(n));
-}
-
-double achieved_power(const PowerSpec& spec, std::size_t n) {
-  if (n == 0) return 0.0;
-  const double z_alpha = normal_inv(1.0 - spec.alpha / 2.0);
-  const double f = allocation_factor(spec.allocation);
-  const double se = spec.sd * std::sqrt(f / static_cast<double>(n));
-  if (se == 0.0) return 1.0;
-  const double shift = std::fabs(spec.effect) / se;
-  // Two-sided power; the far tail is negligible but included for exactness.
-  return normal_cdf(shift - z_alpha) + normal_cdf(-shift - z_alpha);
-}
-
-double minimum_detectable_effect(const PowerSpec& spec, std::size_t n) {
-  if (n == 0) throw std::invalid_argument("power: n must be positive");
-  const double z_alpha = normal_inv(1.0 - spec.alpha / 2.0);
-  const double z_beta = normal_inv(spec.power);
-  const double f = allocation_factor(spec.allocation);
-  return (z_alpha + z_beta) * spec.sd * std::sqrt(f / static_cast<double>(n));
 }
 
 std::size_t required_switchback_intervals(double effect, double interval_sd,

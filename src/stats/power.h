@@ -23,16 +23,14 @@ struct PowerSpec {
 
 /// Total sample size (treatment + control) needed to detect `effect` with
 /// the requested power in a two-sided z-test with unequal allocation.
+/// Throws std::invalid_argument naming the field when `alpha`, `power` or
+/// `allocation` is outside (0, 1), or `effect` or `sd` is not finite (or
+/// `effect` is zero).
 std::size_t required_sample_size(const PowerSpec& spec);
-
-/// Achieved power of a two-sided z-test with `n` total units.
-double achieved_power(const PowerSpec& spec, std::size_t n);
-
-/// Minimum detectable effect at a given total sample size.
-double minimum_detectable_effect(const PowerSpec& spec, std::size_t n);
 
 /// Number of switchback intervals needed, treating each interval as one
 /// (perfectly correlated) observation with between-interval sd `interval_sd`.
+/// Validates like required_sample_size.
 std::size_t required_switchback_intervals(double effect, double interval_sd,
                                           double alpha = 0.05,
                                           double power = 0.8);

@@ -88,14 +88,6 @@ double Rng::normal(double mean, double sd) noexcept {
   return mean + sd * normal();
 }
 
-double Rng::exponential(double rate) noexcept {
-  double u;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return -std::log(u) / rate;
-}
-
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
 std::uint64_t Rng::poisson(double mean) noexcept {
@@ -121,20 +113,6 @@ double Rng::lognormal(double mu, double sigma) noexcept {
   return std::exp(normal(mu, sigma));
 }
 
-double Rng::pareto(double xm, double alpha) noexcept {
-  double u;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
-Rng Rng::split() noexcept { return Rng{next() ^ 0xd2b74407b1ce6e93ULL}; }
-
-void Rng::fill_uniform(std::span<double> out) noexcept {
-  for (double& v : out) v = uniform();
-}
-
 void Rng::fill_uniform_int(std::uint64_t n,
                            std::span<std::uint32_t> out) noexcept {
   for (std::uint32_t& v : out) {
@@ -154,20 +132,6 @@ void BatchedRng::refill() noexcept {
   pos_ = 0;
 }
 
-std::uint64_t BatchedRng::uniform_int(std::uint64_t n) noexcept {
-  // Lemire's nearly-divisionless bounded integers (same as Rng).
-  __uint128_t m = static_cast<__uint128_t>(next()) * n;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < n) {
-    const std::uint64_t threshold = (0 - n) % n;
-    while (low < threshold) {
-      m = static_cast<__uint128_t>(next()) * n;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 double BatchedRng::normal() noexcept {
   if (has_spare_) {
     has_spare_ = false;
@@ -183,14 +147,6 @@ double BatchedRng::normal() noexcept {
   spare_normal_ = v * factor;
   has_spare_ = true;
   return u * factor;
-}
-
-double BatchedRng::exponential(double rate) noexcept {
-  double u;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return -std::log(u) / rate;
 }
 
 std::uint64_t BatchedRng::poisson(double mean) noexcept {
@@ -211,26 +167,6 @@ std::uint64_t BatchedRng::poisson(double mean) noexcept {
 
 double BatchedRng::lognormal(double mu, double sigma) noexcept {
   return std::exp(normal(mu, sigma));
-}
-
-void BatchedRng::fill_uniform(std::span<double> out) noexcept {
-  std::size_t k = 0;
-  while (k < out.size()) {
-    if (pos_ == block_.size()) refill();
-    const std::size_t take = std::min(out.size() - k, block_.size() - pos_);
-    const std::uint64_t* src = block_.data() + pos_;
-    double* dst = out.data() + k;
-    for (std::size_t j = 0; j < take; ++j) {
-      dst[j] = static_cast<double>(src[j] >> 11) * 0x1.0p-53;
-    }
-    pos_ += take;
-    k += take;
-  }
-}
-
-void BatchedRng::fill_exponential(std::span<double> out,
-                                  double rate) noexcept {
-  for (double& v : out) v = exponential(rate);
 }
 
 }  // namespace xp::stats

@@ -14,12 +14,8 @@ namespace xp::video {
 /// An encode ladder: ascending bitrates in bits/second.
 class BitrateLadder {
  public:
-  /// Default ladder (bits/s), 235 kb/s .. 16 Mb/s.
-  static BitrateLadder standard();
-
-  /// The standard ladder built once per process. Hot paths (the cluster's
-  /// per-run ladder cache) use this instead of rebuilding the vector on
-  /// every call; standard() returns a copy of it.
+  /// The default ladder (bits/s), 235 kb/s .. 16 Mb/s, built once per
+  /// process; copy it to derive a treated ladder.
   static const BitrateLadder& shared_standard();
 
   explicit BitrateLadder(std::vector<double> rungs);
@@ -33,16 +29,6 @@ class BitrateLadder {
   std::size_t size() const noexcept { return rungs_.size(); }
   double lowest() const noexcept { return rungs_.front(); }
   double highest() const noexcept { return rungs_.back(); }
-
-  /// Highest rung <= `bitrate_cap`; the lowest rung if the cap is below
-  /// everything (service always offers some stream).
-  double highest_at_most(double bitrate_cap) const noexcept;
-
-  /// Rung by index, clamped to the ladder.
-  double rung(std::size_t index) const noexcept;
-
-  /// Index of the highest rung <= value (0 when value < lowest).
-  std::size_t index_at_most(double value) const noexcept;
 
   /// Return a copy of this ladder truncated at `cap` b/s (the treatment).
   BitrateLadder capped(double cap) const;

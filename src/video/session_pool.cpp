@@ -486,7 +486,7 @@ void SessionPool::advance_all(double dt, std::span<const double> alloc,
       case AbrKind::kHybrid: {
         // The buffer-to-index map is pure arithmetic (the reservoir
         // early-out folds into the clamp: buffer <= reservoir gives
-        // t = 0 and rung 0, bit-identical to abr_select_rungs), so it
+        // t = 0 and rung 0, bit-identical to abr_select_index_rungs), so it
         // vectorizes; the rung load is a per-slot pointer gather, which
         // baseline SIMD has no instruction for, so it stays a scalar
         // loop fused with the rare switch bookkeeping.

@@ -130,7 +130,6 @@ TEST(ArmMean, SplitsCorrectly) {
   rows[3].treated = true;
   EXPECT_DOUBLE_EQ(arm_mean(rows, false), 2.0);
   EXPECT_DOUBLE_EQ(arm_mean(rows, true), 15.0);
-  EXPECT_DOUBLE_EQ(overall_mean(rows), 8.5);
 }
 
 TEST(EffectEstimate, RelativeHandlesZeroBaseline) {

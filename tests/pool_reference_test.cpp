@@ -379,7 +379,7 @@ TEST(PoolReference, PartitionedTickMatchesSwitchPerSlotReference) {
   // startups, rebuffers, abandonments, and completions to all occur.
   // Every per-session demand and every finalized record must match the
   // reference bit for bit.
-  const BitrateLadder uncapped = BitrateLadder::standard();
+  const BitrateLadder uncapped = BitrateLadder::shared_standard();
   const BitrateLadder capped = uncapped.capped(2.5e6);
 
   for (const std::uint64_t seed : {11ULL, 29ULL, 47ULL}) {

@@ -34,9 +34,20 @@ std::vector<Observation> shifted_world(double shift, double tail_shift,
   return rows;
 }
 
+// One quantile effect through the live ladder. A one-rung ladder
+// bootstraps rung 0 with seed `options.seed + 1`, so passing `seed - 1`
+// runs the stream that `options.seed` names.
+EffectEstimate quantile_effect(std::span<const Observation> rows, double q,
+                               QuantileEffectOptions options = {},
+                               util::Runner* runner = nullptr) {
+  options.seed -= 1;
+  const double qs[] = {q};
+  return quantile_effect_ladder(rows, qs, options, runner)[0].effect;
+}
+
 TEST(QuantileEffects, RecoversMedianShift) {
   const auto rows = shifted_world(5.0, 0.0, 3);
-  const auto effect = quantile_treatment_effect(rows, 0.5);
+  const auto effect = quantile_effect(rows, 0.5);
   EXPECT_NEAR(effect.estimate, 5.0, 1.5);
   EXPECT_TRUE(effect.significant);
   EXPECT_LT(effect.p_value, 0.05);
@@ -49,7 +60,7 @@ TEST(QuantileEffects, NullEffectUsuallyInsignificant) {
   int large_p = 0;
   for (int rep = 0; rep < 10; ++rep) {
     const auto rows = shifted_world(0.0, 0.0, 100 + rep);
-    const auto effect = quantile_treatment_effect(rows, 0.5);
+    const auto effect = quantile_effect(rows, 0.5);
     significant += effect.significant;
     large_p += effect.p_value > 0.05;
   }
@@ -59,8 +70,8 @@ TEST(QuantileEffects, NullEffectUsuallyInsignificant) {
 
 TEST(QuantileEffects, TailOnlyEffectInvisibleAtMedian) {
   const auto rows = shifted_world(0.0, 25.0, 17);
-  const auto median = quantile_treatment_effect(rows, 0.5);
-  const auto p99 = quantile_treatment_effect(rows, 0.99);
+  const auto median = quantile_effect(rows, 0.5);
+  const auto p99 = quantile_effect(rows, 0.99);
   EXPECT_GT(p99.estimate, 5.0);
   EXPECT_LT(std::abs(median.estimate), std::abs(p99.estimate) / 3.0);
 }
@@ -82,14 +93,13 @@ TEST(QuantileEffects, TinyArmsThrow) {
     rows[i].treated = i < 3;  // only 3 treated
     rows[i].outcome = static_cast<double>(i);
   }
-  EXPECT_THROW(quantile_treatment_effect(rows, 0.5),
-               std::invalid_argument);
+  EXPECT_THROW(quantile_effect(rows, 0.5), std::invalid_argument);
 }
 
 TEST(QuantileEffects, DeterministicForSeed) {
   const auto rows = shifted_world(1.0, 0.0, 31);
-  const auto a = quantile_treatment_effect(rows, 0.9);
-  const auto b = quantile_treatment_effect(rows, 0.9);
+  const auto a = quantile_effect(rows, 0.9);
+  const auto b = quantile_effect(rows, 0.9);
   EXPECT_DOUBLE_EQ(a.ci_low, b.ci_low);
   EXPECT_DOUBLE_EQ(a.ci_high, b.ci_high);
 }
@@ -163,6 +173,24 @@ std::vector<Arms> bit_identity_arms() {
   return arms;
 }
 
+// The arms as observation rows, interleaved so the row split has work
+// to do.
+std::vector<Observation> interleaved_rows(const Arms& arms) {
+  std::vector<Observation> rows;
+  const auto add = [&](double outcome, bool treated) {
+    Observation obs;
+    obs.treated = treated;
+    obs.outcome = outcome;
+    rows.push_back(obs);
+  };
+  for (std::size_t i = 0;
+       i < std::max(arms.treated.size(), arms.control.size()); ++i) {
+    if (i < arms.treated.size()) add(arms.treated[i], true);
+    if (i < arms.control.size()) add(arms.control[i], false);
+  }
+  return rows;
+}
+
 constexpr double kBitIdentityQuantiles[] = {0.0, 0.01, 0.5, 0.9, 0.99, 1.0};
 
 TEST(QuantileEffects, RankCountMatchesSortedBootstrapBitForBit) {
@@ -172,11 +200,11 @@ TEST(QuantileEffects, RankCountMatchesSortedBootstrapBitForBit) {
   for (std::size_t threads : {1u, 4u}) {
     util::Runner runner(threads);
     for (const Arms& arms : bit_identity_arms()) {
+      const std::vector<Observation> rows = interleaved_rows(arms);
       for (double q : kBitIdentityQuantiles) {
         SCOPED_TRACE(arms.name + " q=" + std::to_string(q) +
                      " threads=" + std::to_string(threads));
-        expect_identical(quantile_treatment_effect(arms.treated, arms.control,
-                                                   q, options, &runner),
+        expect_identical(quantile_effect(rows, q, options, &runner),
                          sorted_reference(arms.treated, arms.control, q,
                                           options, runner));
       }
@@ -191,19 +219,7 @@ TEST(QuantileEffects, LadderMatchesSortedBootstrapBitForBit) {
   for (std::size_t threads : {1u, 4u}) {
     util::Runner runner(threads);
     for (const Arms& arms : bit_identity_arms()) {
-      std::vector<Observation> rows;
-      const auto add = [&](double outcome, bool treated) {
-        Observation obs;
-        obs.treated = treated;
-        obs.outcome = outcome;
-        rows.push_back(obs);
-      };
-      // Interleave the arms so the row split has work to do.
-      for (std::size_t i = 0;
-           i < std::max(arms.treated.size(), arms.control.size()); ++i) {
-        if (i < arms.treated.size()) add(arms.treated[i], true);
-        if (i < arms.control.size()) add(arms.control[i], false);
-      }
+      const std::vector<Observation> rows = interleaved_rows(arms);
       const auto ladder =
           quantile_effect_ladder(rows, kBitIdentityQuantiles, options, &runner);
       ASSERT_EQ(ladder.size(), std::size(kBitIdentityQuantiles));
@@ -216,9 +232,9 @@ TEST(QuantileEffects, LadderMatchesSortedBootstrapBitForBit) {
                          sorted_reference(arms.treated, arms.control,
                                           kBitIdentityQuantiles[i], rung,
                                           runner));
-        expect_identical(quantile_treatment_effect(
-                             rows, kBitIdentityQuantiles[i], rung, &runner),
-                         ladder[i].effect);
+        expect_identical(
+            quantile_effect(rows, kBitIdentityQuantiles[i], rung, &runner),
+            ladder[i].effect);
       }
     }
   }
@@ -258,8 +274,7 @@ TEST(QuantileEffects, PValueCountsReplicatesOnEachSideOfZero) {
     const double expected = std::min(
         1.0, 2.0 * static_cast<double>(std::min(at_or_below, at_or_above)) /
                  static_cast<double>(replicates.size()));
-    const auto effect =
-        quantile_treatment_effect(treated, control, q, options, &runner);
+    const auto effect = quantile_effect(rows, q, options, &runner);
     EXPECT_EQ(effect.p_value, expected) << "q=" << q;
     EXPECT_GT(effect.p_value, 0.0);
     EXPECT_LT(effect.p_value, 1.0);
@@ -270,18 +285,12 @@ TEST(QuantileEffects, NonFiniteOutcomesThrowNamingTheArm) {
   auto rows = shifted_world(1.0, 0.0, 5);
   const double qs[] = {0.5, 0.9};
   const auto expect_arm_error = [&](const char* arm) {
-    for (int call = 0; call < 2; ++call) {
-      try {
-        if (call == 0) {
-          quantile_treatment_effect(rows, 0.5);
-        } else {
-          quantile_effect_ladder(rows, qs);
-        }
-        ADD_FAILURE() << "no exception for a non-finite " << arm << " outcome";
-      } catch (const std::invalid_argument& error) {
-        EXPECT_NE(std::string(error.what()).find(arm), std::string::npos)
-            << error.what();
-      }
+    try {
+      quantile_effect_ladder(rows, qs);
+      ADD_FAILURE() << "no exception for a non-finite " << arm << " outcome";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(arm), std::string::npos)
+          << error.what();
     }
   };
   rows[4].outcome = std::numeric_limits<double>::quiet_NaN();  // treated

@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "stats/bootstrap.h"
 #include "stats/descriptive.h"
+#include "stats/distributions.h"
 #include "stats/power.h"
 #include "stats/rng.h"
 #include "stats/ttest.h"
@@ -53,33 +55,10 @@ TEST(Welch, ThrowsOnTinySamples) {
       std::invalid_argument);
 }
 
-TEST(PairedT, RemovesSharedVariance) {
-  Rng rng(11);
-  std::vector<double> a(100), b(100);
-  for (int i = 0; i < 100; ++i) {
-    const double base = rng.normal(0.0, 10.0);  // large shared component
-    a[i] = base + 0.5 + rng.normal(0.0, 0.1);
-    b[i] = base + rng.normal(0.0, 0.1);
-  }
-  const TTestResult paired = paired_t_test(a, b);
-  EXPECT_TRUE(paired.significant);
-  EXPECT_NEAR(paired.estimate, 0.5, 0.1);
-  // Unpaired Welch on the same data cannot see it.
-  EXPECT_FALSE(welch_t_test(a, b).significant);
-}
-
-TEST(OneSampleT, AgainstKnownMean) {
-  const std::vector<double> xs{9.8, 10.1, 10.0, 9.9, 10.2};
-  const TTestResult t = one_sample_t_test(xs, 10.0);
-  EXPECT_FALSE(t.significant);
-  const TTestResult t2 = one_sample_t_test(xs, 5.0);
-  EXPECT_TRUE(t2.significant);
-}
-
 TEST(Bootstrap, MeanCiCoversSampleMean) {
   Rng rng(13);
   std::vector<double> xs(100);
-  for (auto& x : xs) x = rng.exponential(0.5);
+  for (auto& x : xs) x = -std::log(rng.uniform()) / 0.5;  // Exp(0.5)
   const BootstrapInterval ci = bootstrap_ci(
       xs, [](std::span<const double> s) { return mean(s); }, rng, 800);
   EXPECT_GT(ci.point, ci.low);
@@ -136,6 +115,20 @@ TEST(Power, UnequalAllocationNeedsMore) {
   EXPECT_GT(required_sample_size(skewed), 4 * required_sample_size(even));
 }
 
+// Closed forms for a two-sided z-test with n total units, to check
+// required_sample_size against: its achieved power and its minimum
+// detectable effect.
+double standard_error_at(const PowerSpec& spec, std::size_t n) {
+  const double f = 1.0 / spec.allocation + 1.0 / (1.0 - spec.allocation);
+  return spec.sd * std::sqrt(f / static_cast<double>(n));
+}
+
+double achieved_power(const PowerSpec& spec, std::size_t n) {
+  const double z_alpha = normal_inv(1.0 - spec.alpha / 2.0);
+  const double shift = std::fabs(spec.effect) / standard_error_at(spec, n);
+  return normal_cdf(shift - z_alpha) + normal_cdf(-shift - z_alpha);
+}
+
 TEST(Power, AchievedPowerMonotoneInN) {
   PowerSpec spec;
   spec.effect = 0.2;
@@ -147,7 +140,10 @@ TEST(Power, MdeInverseOfSampleSize) {
   PowerSpec spec;
   spec.effect = 0.4;
   const std::size_t n = required_sample_size(spec);
-  EXPECT_NEAR(minimum_detectable_effect(spec, n), 0.4, 0.02);
+  const double mde = (normal_inv(1.0 - spec.alpha / 2.0) +
+                      normal_inv(spec.power)) *
+                     standard_error_at(spec, n);
+  EXPECT_NEAR(mde, 0.4, 0.02);
 }
 
 TEST(Power, SwitchbackIntervals) {
@@ -163,6 +159,32 @@ TEST(Power, InvalidInputsThrow) {
   spec.effect = 0.5;
   spec.allocation = 0.0;
   EXPECT_THROW(required_sample_size(spec), std::invalid_argument);
+  // An alpha or power of 0 or 1 has an infinite z-quantile; a non-finite
+  // effect or sd has no sample size. Each must throw, not return 0.
+  for (double bad : {0.0, 1.0, -0.1, 1.5, std::nan("")}) {
+    PowerSpec alpha;
+    alpha.effect = 0.5;
+    alpha.alpha = bad;
+    EXPECT_THROW(required_sample_size(alpha), std::invalid_argument) << bad;
+    PowerSpec power;
+    power.effect = 0.5;
+    power.power = bad;
+    EXPECT_THROW(required_sample_size(power), std::invalid_argument) << bad;
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {inf, -inf, std::nan("")}) {
+    PowerSpec effect;
+    effect.effect = bad;
+    EXPECT_THROW(required_sample_size(effect), std::invalid_argument) << bad;
+    PowerSpec sd;
+    sd.effect = 0.5;
+    sd.sd = bad;
+    EXPECT_THROW(required_sample_size(sd), std::invalid_argument) << bad;
+  }
+  EXPECT_THROW(required_switchback_intervals(1.0, 1.0, 0.05, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(required_switchback_intervals(1.0, 1.0, 0.0, 0.8),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -79,14 +79,6 @@ TEST(Rng, NormalShiftScale) {
   EXPECT_NEAR(sum / n, 10.0, 0.05);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng rng(29);
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(4.0);
-  EXPECT_NEAR(sum / n, 0.25, 0.01);
-}
-
 TEST(Rng, BernoulliFrequency) {
   Rng rng(31);
   int hits = 0;
@@ -133,11 +125,6 @@ TEST(Rng, LognormalMedian) {
   EXPECT_NEAR(xs[xs.size() / 2], std::exp(2.0), 0.15);
 }
 
-TEST(Rng, ParetoBounds) {
-  Rng rng(59);
-  for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.pareto(2.0, 1.5), 2.0);
-}
-
 TEST(Rng, ShufflePreservesElements) {
   Rng rng(61);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7};
@@ -145,14 +132,6 @@ TEST(Rng, ShufflePreservesElements) {
   rng.shuffle(copy);
   std::sort(copy.begin(), copy.end());
   EXPECT_EQ(copy, v);
-}
-
-TEST(Rng, SplitStreamsIndependent) {
-  Rng parent(71);
-  Rng child = parent.split();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) same += parent.next() == child.next();
-  EXPECT_LT(same, 3);
 }
 
 // --- BatchedRng: the documented draw-order contract -------------------
@@ -164,9 +143,9 @@ TEST(Rng, SplitStreamsIndependent) {
 TEST(BatchedRng, InterleavedDrawsBitIdenticalToRng) {
   Rng scalar(2021);
   BatchedRng batched(2021);
-  // A deterministic but scrambled schedule over every member the tick
-  // loop uses; mix64 decides the call type so the interleaving is
-  // arbitrary rather than periodic.
+  // A deterministic but scrambled schedule over every BatchedRng member;
+  // mix64 decides the call type so the interleaving is arbitrary rather
+  // than periodic.
   for (std::uint64_t step = 0; step < 5000; ++step) {
     switch (mix64(step) % 8) {
       case 0:
@@ -180,20 +159,23 @@ TEST(BatchedRng, InterleavedDrawsBitIdenticalToRng) {
             << "step " << step;
         break;
       case 3:
-        EXPECT_EQ(scalar.uniform_int(97), batched.uniform_int(97))
+        EXPECT_EQ(scalar.bernoulli(0.3), batched.bernoulli(0.3))
             << "step " << step;
         break;
       case 4:
         EXPECT_EQ(scalar.normal(), batched.normal()) << "step " << step;
         break;
       case 5:
-        EXPECT_EQ(scalar.exponential(0.25), batched.exponential(0.25))
+        EXPECT_EQ(scalar.normal(4.0, 1.5), batched.normal(4.0, 1.5))
             << "step " << step;
         break;
-      case 6:
-        EXPECT_EQ(scalar.poisson(3.7), batched.poisson(3.7))
+      case 6: {
+        // Both Poisson branches: Knuth inversion and the normal approx.
+        const double mean = step % 2 == 0 ? 3.7 : 45.0;
+        EXPECT_EQ(scalar.poisson(mean), batched.poisson(mean))
             << "step " << step;
         break;
+      }
       case 7:
         EXPECT_EQ(scalar.lognormal(0.5, 0.9), batched.lognormal(0.5, 0.9))
             << "step " << step;
@@ -215,26 +197,6 @@ TEST(BatchedRng, RefillBoundaryCorrectness) {
       ASSERT_EQ(scalar.poisson(2.5), batched.poisson(2.5))
           << "block " << block;
     }
-  }
-}
-
-TEST(BatchedRng, FillUniformMatchesSequentialCalls) {
-  // out[k] must be exactly the k-th uniform() call's value, including
-  // when one span crosses several refills (span larger than block).
-  Rng scalar(7);
-  BatchedRng batched(7, /*block_words=*/16);
-  std::vector<double> out(100);
-  batched.fill_uniform(out);
-  for (std::size_t k = 0; k < out.size(); ++k) {
-    ASSERT_EQ(scalar.uniform(), out[k]) << "k=" << k;
-  }
-  // And spans must compose with scalar draws mid-stream.
-  const double single = batched.uniform();
-  EXPECT_EQ(scalar.uniform(), single);
-  std::vector<double> exp_out(37);
-  batched.fill_exponential(exp_out, 1.5);
-  for (std::size_t k = 0; k < exp_out.size(); ++k) {
-    ASSERT_EQ(scalar.exponential(1.5), exp_out[k]) << "k=" << k;
   }
 }
 

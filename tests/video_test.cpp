@@ -15,26 +15,30 @@
 namespace xp::video {
 namespace {
 
+const BitrateLadder& standard() { return BitrateLadder::shared_standard(); }
+
+double top_index(const BitrateLadder& ladder) {
+  return static_cast<double>(ladder.size() - 1);
+}
+
+// The hybrid buffer map's rate, read off the live index form.
+double hybrid_rate(const BitrateLadder& ladder, double buffer_seconds) {
+  return ladder.rungs()[abr_select_index_rungs(top_index(ladder), AbrConfig{},
+                                               buffer_seconds)];
+}
+
 TEST(BitrateLadder, StandardIsAscending) {
-  const auto ladder = BitrateLadder::standard();
+  const auto& ladder = standard();
   EXPECT_GE(ladder.size(), 10u);
   EXPECT_DOUBLE_EQ(ladder.lowest(), 235e3);
   EXPECT_DOUBLE_EQ(ladder.highest(), 16000e3);
 }
 
-TEST(BitrateLadder, HighestAtMost) {
-  const auto ladder = BitrateLadder::standard();
-  EXPECT_DOUBLE_EQ(ladder.highest_at_most(3000e3), 3000e3);
-  EXPECT_DOUBLE_EQ(ladder.highest_at_most(3100e3), 3000e3);
-  EXPECT_DOUBLE_EQ(ladder.highest_at_most(100e3), 235e3);  // floor rung
-  EXPECT_DOUBLE_EQ(ladder.highest_at_most(1e9), 16000e3);
-}
-
 TEST(BitrateLadder, CappedTruncates) {
-  const auto capped = BitrateLadder::standard().capped(2350e3);
+  const auto capped = standard().capped(2350e3);
   EXPECT_DOUBLE_EQ(capped.highest(), 2350e3);
   EXPECT_DOUBLE_EQ(capped.lowest(), 235e3);
-  const auto floor = BitrateLadder::standard().capped(1.0);
+  const auto floor = standard().capped(1.0);
   EXPECT_EQ(floor.size(), 1u);
 }
 
@@ -56,73 +60,81 @@ TEST(PerceptualQuality, MonotoneAndBounded) {
 }
 
 TEST(Abr, ReservoirStreamsLowest) {
-  BufferBasedAbr abr(BitrateLadder::standard());
-  EXPECT_DOUBLE_EQ(abr.select(0.0), 235e3);
-  EXPECT_DOUBLE_EQ(abr.select(9.9), 235e3);
+  EXPECT_DOUBLE_EQ(hybrid_rate(standard(), 0.0), 235e3);
+  EXPECT_DOUBLE_EQ(hybrid_rate(standard(), 9.9), 235e3);
 }
 
 TEST(Abr, TopOfCushionStreamsHighest) {
-  BufferBasedAbr abr(BitrateLadder::standard());
-  EXPECT_DOUBLE_EQ(abr.select(60.0), 16000e3);
-  EXPECT_DOUBLE_EQ(abr.select(300.0), 16000e3);
+  EXPECT_DOUBLE_EQ(hybrid_rate(standard(), 60.0), 16000e3);
+  EXPECT_DOUBLE_EQ(hybrid_rate(standard(), 300.0), 16000e3);
 }
 
 TEST(Abr, MonotoneInBuffer) {
-  BufferBasedAbr abr(BitrateLadder::standard());
   double prev = 0.0;
   for (double buffer = 0.0; buffer <= 70.0; buffer += 2.0) {
-    const double rate = abr.select(buffer);
+    const double rate = hybrid_rate(standard(), buffer);
     EXPECT_GE(rate, prev);
     prev = rate;
   }
 }
 
 TEST(Abr, CappedLadderNeverExceedsCap) {
-  BufferBasedAbr abr(BitrateLadder::standard().capped(3000e3));
+  const BitrateLadder capped = standard().capped(3000e3);
   for (double buffer = 0.0; buffer <= 100.0; buffer += 5.0) {
-    EXPECT_LE(abr.select(buffer), 3000e3);
+    EXPECT_LE(hybrid_rate(capped, buffer), 3000e3);
   }
+  // The startup chunk is the configured rate, clamped to the ladder top.
+  const AbrConfig config;
+  EXPECT_DOUBLE_EQ(abr_startup(standard(), config), config.startup_bitrate);
+  EXPECT_DOUBLE_EQ(abr_startup(standard().capped(750e3), config), 750e3);
 }
 
 TEST(Abr, RungAtMostFloorsAndCeils) {
-  const auto ladder = BitrateLadder::standard();
+  const auto& ladder = standard();
   const double* rungs = ladder.rungs().data();
-  const double top = static_cast<double>(ladder.size() - 1);
-  EXPECT_DOUBLE_EQ(rung_at_most(rungs, top, 100e3), 235e3);  // floor rung
-  EXPECT_DOUBLE_EQ(rung_at_most(rungs, top, 3100e3), 3000e3);
-  EXPECT_DOUBLE_EQ(rung_at_most(rungs, top, 3000e3), 3000e3);  // exact hit
-  EXPECT_DOUBLE_EQ(rung_at_most(rungs, top, 1e9), 16000e3);
+  const double top = top_index(ladder);
+  const auto at_most = [&](double value) {
+    return rungs[rung_index_at_most(rungs, top, value)];
+  };
+  EXPECT_DOUBLE_EQ(at_most(100e3), 235e3);  // floor rung
+  EXPECT_DOUBLE_EQ(at_most(3100e3), 3000e3);
+  EXPECT_DOUBLE_EQ(at_most(3000e3), 3000e3);  // exact hit
+  EXPECT_DOUBLE_EQ(at_most(1e9), 16000e3);
 }
 
 TEST(Abr, BbaSelectIsMonotoneAndRateLinear) {
-  const auto ladder = BitrateLadder::standard();
+  const auto& ladder = standard();
   const double* rungs = ladder.rungs().data();
-  const double top = static_cast<double>(ladder.size() - 1);
+  const double top = top_index(ladder);
   const AbrConfig config;
+  const auto bba = [&](double buffer) {
+    return rungs[bba_select_index_rungs(rungs, top, config, buffer)];
+  };
   // Reservoir and full-cushion endpoints match the hybrid map...
-  EXPECT_DOUBLE_EQ(bba_select_rungs(rungs, top, config, 5.0), 235e3);
-  EXPECT_DOUBLE_EQ(bba_select_rungs(rungs, top, config, 60.0), 16000e3);
+  EXPECT_DOUBLE_EQ(bba(5.0), 235e3);
+  EXPECT_DOUBLE_EQ(bba(60.0), 16000e3);
   // ...but mid-cushion BBA maps linearly in *rate*: on the roughly
   // geometric ladder that sits well above the index interpolation
   // (half the rate range lands among the top rungs).
-  const double mid_bba = bba_select_rungs(rungs, top, config, 35.0);
-  const double mid_hybrid = abr_select_rungs(rungs, top, config, 35.0);
-  EXPECT_GT(mid_bba, mid_hybrid);
+  EXPECT_GT(bba(35.0), hybrid_rate(ladder, 35.0));
   double prev = 0.0;
   for (double buffer = 0.0; buffer <= 70.0; buffer += 2.0) {
-    const double rate = bba_select_rungs(rungs, top, config, buffer);
+    const double rate = bba(buffer);
     EXPECT_GE(rate, prev);
     prev = rate;
   }
 }
 
 TEST(Abr, RateSelectTracksThroughput) {
-  const auto ladder = BitrateLadder::standard();
+  const auto& ladder = standard();
   const double* rungs = ladder.rungs().data();
-  const double top = static_cast<double>(ladder.size() - 1);
-  EXPECT_DOUBLE_EQ(rate_select_rungs(rungs, top, 0.0), 235e3);
-  EXPECT_DOUBLE_EQ(rate_select_rungs(rungs, top, 2e6), 1750e3);
-  EXPECT_DOUBLE_EQ(rate_select_rungs(rungs, top, 50e6), 16000e3);
+  const double top = top_index(ladder);
+  const auto rate = [&](double target_bps) {
+    return rungs[rate_select_index_rungs(rungs, top, target_bps)];
+  };
+  EXPECT_DOUBLE_EQ(rate(0.0), 235e3);
+  EXPECT_DOUBLE_EQ(rate(2e6), 1750e3);
+  EXPECT_DOUBLE_EQ(rate(50e6), 16000e3);
 }
 
 TEST(MaxMinFair, EqualSplitWhenOversubscribed) {
@@ -258,7 +270,7 @@ SessionParams fast_session_params() {
 struct PoolOfOne {
   explicit PoolOfOne(xp::stats::Rng& rng, double ceiling = 16e6,
                      double duration = 600.0)
-      : ladder(BitrateLadder::standard().capped(ceiling)),
+      : ladder(standard().capped(ceiling)),
         pool(fast_session_params(), AbrConfig{}) {
     const SessionParams params = fast_session_params();
     SessionPool::Arrival arrival;

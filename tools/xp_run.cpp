@@ -15,11 +15,15 @@
 // re-invoke until the exit code clears. Kill it at any moment: with
 // --journal, completed cells are already on disk and the next invocation
 // resumes instead of restarting.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/estimator.h"
@@ -70,6 +74,26 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
+/// The whole of `token` as a T, or exit 2 naming the flag and the token.
+/// Unsigned flags refuse a sign (from_chars takes no '+', and no '-' for
+/// an unsigned T); floating flags refuse inf and nan.
+template <typename T>
+T parse_number(const char* argv0, const char* flag, std::string_view token) {
+  T out{};
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, out);
+  bool ok = error == std::errc() && stop == end && !token.empty();
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(out);
+  if (!ok) {
+    std::fprintf(stderr, "%s: %s expects %s, got '%.*s'\n", argv0, flag,
+                 std::is_floating_point_v<T> ? "a finite number"
+                                             : "a non-negative integer",
+                 static_cast<int>(token.size()), token.data());
+    std::exit(2);
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -102,20 +126,24 @@ int main(int argc, char** argv) {
       journal.directory = value();
     } else if (std::strcmp(argv[i], "--allocations") == 0) {
       for (const std::string& token : split_csv(value())) {
-        spec.allocations.push_back(std::atof(token.c_str()));
+        spec.allocations.push_back(
+            parse_number<double>(argv[0], "--allocations", token));
       }
     } else if (std::strcmp(argv[i], "--replicates") == 0) {
-      spec.replicates = std::strtoull(value(), nullptr, 10);
+      spec.replicates =
+          parse_number<std::size_t>(argv[0], "--replicates", value());
     } else if (std::strcmp(argv[i], "--estimators") == 0) {
       for (std::string& token : split_csv(value())) {
         spec.estimators.push_back(std::move(token));
       }
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      spec.seed = std::strtoull(value(), nullptr, 10);
+      spec.seed = parse_number<std::uint64_t>(argv[0], "--seed", value());
     } else if (std::strcmp(argv[i], "--duration-scale") == 0) {
-      spec.tuning.duration_scale = std::atof(value());
+      spec.tuning.duration_scale =
+          parse_number<double>(argv[0], "--duration-scale", value());
     } else if (std::strcmp(argv[i], "--budget") == 0) {
-      spec.tuning.budget.max_work_units = std::strtoull(value(), nullptr, 10);
+      spec.tuning.budget.max_work_units =
+          parse_number<std::uint64_t>(argv[0], "--budget", value());
     } else if (std::strcmp(argv[i], "--trace-file") == 0) {
       spec.tuning.trace_path = value();
     } else if (std::strcmp(argv[i], "--streaming") == 0) {
@@ -127,8 +155,9 @@ int main(int argc, char** argv) {
       } else if (mode == "skip") {
         spec.on_failure = xp::lab::FailurePolicy::skip();
       } else if (mode.rfind("retry:", 0) == 0) {
-        spec.on_failure = xp::lab::FailurePolicy::retry(static_cast<
-            std::uint32_t>(std::strtoul(mode.c_str() + 6, nullptr, 10)));
+        spec.on_failure = xp::lab::FailurePolicy::retry(
+            parse_number<std::uint32_t>(argv[0], "--on-failure retry:",
+                                        std::string_view(mode).substr(6)));
       } else {
         std::fprintf(stderr, "%s: unknown --on-failure mode '%s'\n", argv[0],
                      mode.c_str());

@@ -13,22 +13,15 @@
 #include "core/designs/paired_link.h"
 #include "core/designs/switchback.h"
 #include "core/quantile_effects.h"
-#include "core/session_metrics.h"
 #include "lab/scenarios.h"
 
-namespace {
-
-std::vector<xp::core::Observation> column(
-    const std::vector<xp::video::SessionRecord>& sessions,
-    xp::core::Metric metric) {
-  return xp::core::select(sessions, metric, xp::core::RowFilter{});
-}
-
-}  // namespace
-
 int main() {
-  const auto run = xp::bench::main_experiment();
-  const auto min_rtt = column(run.sessions, xp::core::Metric::kMinRtt);
+  // Ablations 1, 2 and 4 read bench_fig05's week 1
+  // (paired_links/experiment at seed 2021) off its metric columns.
+  const auto report =
+      xp::bench::bootstrap_weeks("paired_links/experiment", 1);
+  const auto& columns = report.cell(0, 0).table;
+  const auto& min_rtt = columns.column("min RTT");
 
   xp::bench::header("Ablation 1 — Newey-West lag (min RTT TTE)");
   const auto obs = xp::core::tte_contrast(min_rtt);
@@ -87,8 +80,8 @@ int main() {
 
   xp::bench::header(
       "Ablation 4 — quantile treatment effects (play delay, TTE contrast)");
-  const auto delay_rows = xp::core::tte_contrast(
-      column(run.sessions, xp::core::Metric::kPlayDelay));
+  const auto delay_rows =
+      xp::core::tte_contrast(columns.column("play delay"));
   const std::vector<double> quantiles{0.5, 0.9, 0.99};
   const auto ladder = xp::core::quantile_effect_ladder(delay_rows,
                                                        quantiles);

@@ -1,11 +1,14 @@
 // Figure 9: percentage of retransmitted bytes, split by peak vs off-peak
 // hours. Capping reduces congestion loss at peak (-20% in the paper) but
 // *raises the percentage* off-peak (+16%): the fixed recovery overhead is
-// divided by fewer sent bytes. Absolute retransmitted bytes go down.
+// divided by fewer sent bytes. Absolute retransmitted bytes go down. The
+// week is bench_fig05's week 1 (paired_links/experiment at seed 2021);
+// the retransmit and bytes-sent columns hold one row per session in the
+// same order, so they pair by row index.
 #include <cstdio>
+#include <stdexcept>
 
 #include "bench/bench_util.h"
-#include "core/session_metrics.h"
 
 namespace {
 
@@ -24,23 +27,34 @@ int main() {
   xp::bench::header(
       "Figure 9 — %% retransmitted bytes, peak vs off-peak "
       "(treated on link 1 vs control on link 2)");
-  const auto run = xp::bench::main_experiment();
+  const auto report =
+      xp::bench::bootstrap_weeks("paired_links/experiment", 1);
+  const auto& table = report.cell(0, 0).table;
+  const auto& retx = table.column("% retransmitted bytes");
+  const auto& sent = table.column("bytes sent");
+  if (retx.size() != sent.size()) {
+    throw std::logic_error("fig09: metric columns differ in length");
+  }
 
   // cells[period][arm]: period 0 = off-peak, 1 = peak; arm: TTE contrast.
   Cell cells[2][2];
-  for (const auto& row : run.sessions) {
+  for (std::size_t i = 0; i < retx.size(); ++i) {
+    const auto& row = retx[i];
+    if (row.unit != sent[i].unit) {
+      throw std::logic_error("fig09: metric columns differ in row order");
+    }
     int arm;
-    if (row.link == 0 && row.treated) {
+    if (row.group == 0 && row.treated) {
       arm = 1;  // capped world
-    } else if (row.link == 1 && !row.treated) {
+    } else if (row.group == 1 && !row.treated) {
       arm = 0;  // uncapped world
     } else {
       continue;
     }
-    Cell& cell = cells[is_peak(row.hour) ? 1 : 0][arm];
-    cell.retx_fraction_sum += row.retransmit_fraction;
-    cell.retx_bytes += row.retransmit_fraction * row.bytes_sent;
-    cell.sent_bytes += row.bytes_sent;
+    Cell& cell = cells[is_peak(row.hour_of_day) ? 1 : 0][arm];
+    cell.retx_fraction_sum += row.outcome;
+    cell.retx_bytes += row.outcome * sent[i].outcome;
+    cell.sent_bytes += sent[i].outcome;
     cell.n += 1.0;
   }
 

@@ -10,12 +10,12 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "core/analysis.h"
 #include "core/quantile_effects.h"
 #include "lab/experiment.h"
 #include "lab/fleet_scenarios.h"
 #include "lab/journal.h"
+#include "lab/registry.h"
 #include "util/runner.h"
 #include "sim/dumbbell.h"
 #include "sim/event_queue.h"
@@ -25,9 +25,18 @@
 #include "stats/rng.h"
 #include "trace/replay.h"
 #include "trace/writer.h"
+#include "video/cluster.h"
 #include "video/fluid_link.h"
 
 namespace {
+
+/// One day of the canonical Section 4 experiment world at seed 2021.
+xp::video::ClusterConfig canonical_day() {
+  xp::video::ClusterConfig config = xp::lab::canonical_experiment_config();
+  config.days = 1.0;
+  config.seed = 2021;
+  return config;
+}
 
 void BM_OlsHourlyFeNeweyWest(benchmark::State& state) {
   // The Appendix-B regression shape: 240 cells, 26 columns.
@@ -175,7 +184,7 @@ void BM_PairedLinksDay(benchmark::State& state) {
   // This is the data-generating hot path the CI gate watches alongside
   // the packet-level kernel (BM_DumbbellSimSecond).
   for (auto _ : state) {
-    benchmark::DoNotOptimize(xp::bench::main_experiment(/*days=*/1.0));
+    benchmark::DoNotOptimize(xp::video::run_paired_links(canonical_day()));
   }
 }
 BENCHMARK(BM_PairedLinksDay)->Unit(benchmark::kMillisecond);
@@ -263,7 +272,7 @@ void BM_TraceReplayDay(benchmark::State& state) {
   // cell indexing) happens once outside the loop, like a long-lived
   // replay service; the loop measures one seed-pure replicate draw plus
   // the metric-column build.
-  const auto sessions = xp::bench::main_experiment(/*days=*/1.0).sessions;
+  const auto sessions = xp::video::run_paired_links(canonical_day()).sessions;
   xp::trace::TraceMeta meta;
   meta.allocation = 0.95;
   meta.horizon_s = 86400.0;

@@ -2,27 +2,28 @@
 // metric between the two links on all-control data. Most metrics should
 // show no significant difference; rebuffers show the pre-existing
 // imbalance (the paper found link 1 had ~20% more sessions with
-// rebuffers, attributed to content differences).
+// rebuffers, attributed to content differences). The week is
+// paired_links/baseline at seed 1917 and each row is the aa/null
+// estimator's link_diff row (hourly FE read of core::aa_link_contrast).
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "core/aa_test.h"
 #include "core/report.h"
+#include "core/session_metrics.h"
 
 int main() {
   xp::bench::header(
       "Baseline week (Section 4.1) — link 1 vs link 2 similarity, "
       "all-control traffic");
-  const auto baseline = xp::bench::baseline_week();
+  const auto report = xp::bench::bootstrap_weeks("paired_links/baseline", 1,
+                                                 {"aa/null"}, 1917);
+  const auto& aa = report.estimates_for("aa/null");
   std::printf("%-22s | %-34s %s\n", "metric", "link1 - link2 (relative)",
               "significant?");
   for (const auto metric : xp::core::kAllMetrics) {
-    const auto difference =
-        xp::core::hourly_fe_analysis(xp::core::aa_link_contrast(
-            xp::core::select(baseline.sessions, metric,
-                             xp::core::RowFilter{})));
-    std::printf("%-22s | %-34s %s\n",
-                std::string(metric_name(metric)).c_str(),
+    const std::string name(metric_name(metric));
+    const auto& difference = aa.row(name + "/link_diff").effect();
+    std::printf("%-22s | %-34s %s\n", name.c_str(),
                 xp::core::format_relative(difference).c_str(),
                 difference.significant ? "YES" : "no");
   }

@@ -2,7 +2,8 @@
 // Ramp the parallel-connections treatment through increasing allocations,
 // estimate tau(p) / rho(p) / s(p) at every step, and run the SUTVA test
 // battery. Also the A/A calibration of Section 5.3: false-positive counts
-// for day-level switchbacks vs event studies on baseline data.
+// for day-level switchbacks vs event studies on baseline data (the
+// paired_links/baseline week at seed 1917, read off its metric columns).
 #include <cmath>
 #include <cstdio>
 
@@ -82,19 +83,20 @@ int main() {
   xp::bench::header(
       "A/A calibration — switchback vs event-study false positives on "
       "baseline data");
-  const auto baseline = xp::bench::baseline_week();
+  const auto baseline = xp::bench::bootstrap_weeks("paired_links/baseline",
+                                                   1, {}, 1917);
+  const auto& columns = baseline.cell(0, 0).table;
   std::printf("%-22s | %-26s %-26s\n", "metric",
               "switchback FP (of tested)", "event-study FP (of tested)");
   for (auto metric :
        {xp::core::Metric::kThroughput, xp::core::Metric::kMinRtt,
         xp::core::Metric::kBitrate, xp::core::Metric::kPlayDelay,
         xp::core::Metric::kRetransmitFraction}) {
-    const auto column =
-        xp::core::select(baseline.sessions, metric, xp::core::RowFilter{});
+    const std::string name(metric_name(metric));
+    const auto& column = columns.column(name);
     const auto sb = xp::core::calibrate_switchback_aa(column, 5);
     const auto es = xp::core::calibrate_event_study_aa(column, 5);
-    std::printf("%-22s | %10zu / %-12zu %10zu / %-12zu\n",
-                std::string(metric_name(metric)).c_str(),
+    std::printf("%-22s | %10zu / %-12zu %10zu / %-12zu\n", name.c_str(),
                 sb.false_positives, sb.assignments_tested,
                 es.false_positives, es.assignments_tested);
   }

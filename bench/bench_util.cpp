@@ -3,9 +3,9 @@
 #include <stdexcept>
 
 #include "core/analysis.h"
-#include "lab/registry.h"
+#include "core/report.h"
+#include "core/session_metrics.h"
 #include "stats/descriptive.h"
-#include "util/runner.h"
 
 namespace xp::bench {
 
@@ -19,33 +19,6 @@ void header(std::string_view title) {
               "===============================================");
 }
 
-video::ClusterResult main_experiment(double days, std::uint64_t seed) {
-  video::ClusterConfig config = lab::canonical_experiment_config();
-  config.days = days;
-  config.seed = seed;
-  return video::run_paired_links(config);
-}
-
-video::ClusterResult baseline_week(double days, std::uint64_t seed) {
-  video::ClusterConfig config = lab::canonical_baseline_config();
-  config.days = days;
-  config.seed = seed;
-  return video::run_paired_links(config);
-}
-
-std::pair<video::ClusterResult, video::ClusterResult> baseline_and_experiment(
-    double days) {
-  std::pair<video::ClusterResult, video::ClusterResult> results;
-  util::global_runner().parallel_for(2, [&](std::size_t i) {
-    if (i == 0) {
-      results.first = baseline_week(days);
-    } else {
-      results.second = main_experiment(days);
-    }
-  });
-  return results;
-}
-
 lab::ExperimentReport lab_sweep(const std::string& scenario) {
   lab::ExperimentSpec spec;
   spec.scenario = scenario;
@@ -56,8 +29,21 @@ lab::ExperimentReport lab_sweep(const std::string& scenario) {
 }
 
 double arm_mean(const lab::ExperimentReport& report, std::size_t a,
-                std::string_view metric, bool treated) {
-  return core::arm_mean(report.cell(a, 0).table.column(metric), treated);
+                std::string_view metric, bool treated, int link) {
+  const auto& column = report.cell(a, 0).table.column(metric);
+  if (link < 0) return core::arm_mean(column, treated);
+  core::RowFilter filter;
+  filter.link = link;
+  return core::arm_mean(core::select(column, filter), treated);
+}
+
+std::string relative_effect(const lab::ExperimentReport& report,
+                            std::string_view estimator,
+                            std::string_view metric, std::string_view label) {
+  return core::format_relative(
+      report.estimates_for(estimator)
+          .row(std::string(metric) + "/" + std::string(label))
+          .effect());
 }
 
 const core::EffectEstimate* step_effect(const lab::ExperimentReport& report,

@@ -1,37 +1,21 @@
-// Shared helpers for the figure-reproduction benchmark binaries. The
-// canonical experiment/baseline week configurations live in exactly one
-// compiled translation unit (bench_util.cpp, on top of the lab registry's
-// canonical configs) so every bench reproduces the same worlds.
+// Shared helpers for the figure-reproduction benchmark binaries. Every
+// bench builds its worlds through one ExperimentSpec -> run_experiment
+// (the registry's scenarios, the pipeline's cell seeds), so two figures
+// that name the same scenario and seed read the same week.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/observation.h"
 #include "lab/experiment.h"
-#include "video/cluster.h"
 
 namespace xp::bench {
 
 void header(std::string_view title);
-
-/// The canonical 5-day paired-link experiment of Section 4 (Wed-Sun).
-video::ClusterResult main_experiment(double days = 5.0,
-                                     std::uint64_t seed = 2021);
-
-/// The baseline week: no treatment anywhere (Section 4.1 / A/A data).
-video::ClusterResult baseline_week(double days = 5.0,
-                                   std::uint64_t seed = 1917);
-
-/// Baseline week and main experiment, fanned across cores. Both worlds are
-/// independent and deterministic in their own seeds, so the pair is
-/// identical to two serial runs at any thread count.
-std::pair<video::ClusterResult, video::ClusterResult> baseline_and_experiment(
-    double days = 5.0);
 
 /// `weeks` independent replicate worlds of a registered scenario at its
 /// default allocation, fanned across the process-wide runner (the
@@ -48,9 +32,17 @@ lab::ExperimentReport bootstrap_weeks(
 lab::ExperimentReport lab_sweep(const std::string& scenario);
 
 /// Mean of `metric` over one arm of the first replicate world at
-/// allocation index `a` (0 for an empty arm).
+/// allocation index `a`, on one link (0/1) or both (-1); 0 for an empty
+/// arm.
 double arm_mean(const lab::ExperimentReport& report, std::size_t a,
-                std::string_view metric, bool treated);
+                std::string_view metric, bool treated, int link = -1);
+
+/// The headline "<metric>/<label>" row of `estimator` in `report`,
+/// formatted as a relative effect with its significance star (the text
+/// fig05's table cells print).
+std::string relative_effect(const lab::ExperimentReport& report,
+                            std::string_view estimator,
+                            std::string_view metric, std::string_view label);
 
 /// The headline gradual/contrast estimate of one sweep step: the
 /// "<metric>/<label>@p" row ("tau" or "spillover") at allocation index

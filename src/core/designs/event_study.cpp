@@ -8,9 +8,9 @@ std::vector<Observation> event_study_observations(
   for (const Observation& row : rows) {
     const bool post = row.day >= options.switch_day;
     if (post) {
-      if (row.group != options.treated_source_link || !row.treated) continue;
+      if (row.group != 0 || !row.treated) continue;
     } else {
-      if (row.group != options.control_source_link || row.treated) continue;
+      if (row.group != 1 || row.treated) continue;
     }
     Observation obs = row;
     obs.treated = post;

@@ -2,11 +2,12 @@
 //
 // A deployment is modeled as a switch day: before it, the system runs
 // control; from it on, treatment. The emulation draws pre-switch rows
-// from the mostly-control link and post-switch rows from the mostly-
-// treated link, then runs the hourly FE pipeline. Seasonality (weekday
-// vs weekend) is exactly the confound that biases this design — the
-// paper found event studies false-positive on most metrics in A/A
-// calibration, while switchbacks did not.
+// from the control arm of the mostly-control link (1) and post-switch
+// rows from the treated arm of the mostly-treated link (0), then runs the
+// hourly FE pipeline. Seasonality (weekday vs weekend) is exactly the
+// confound that biases this design — the paper found event studies
+// false-positive on most metrics in A/A calibration, while switchbacks
+// did not.
 #pragma once
 
 #include <span>
@@ -20,8 +21,6 @@ namespace xp::core {
 struct EventStudyOptions {
   /// First treated day (switch happens at its midnight boundary).
   std::uint32_t switch_day = 3;
-  std::uint8_t treated_source_link = 0;
-  std::uint8_t control_source_link = 1;
   AnalysisOptions analysis;
 };
 

@@ -14,9 +14,9 @@ std::vector<Observation> switchback_observations(
     if (row.day >= options.day_treated.size()) continue;
     const bool treated_day = options.day_treated[row.day];
     if (treated_day) {
-      if (row.group != options.treated_source_link || !row.treated) continue;
+      if (row.group != 0 || !row.treated) continue;
     } else {
-      if (row.group != options.control_source_link || row.treated) continue;
+      if (row.group != 1 || row.treated) continue;
     }
     Observation obs = row;
     obs.treated = treated_day;

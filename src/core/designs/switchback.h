@@ -17,13 +17,10 @@
 namespace xp::core {
 
 struct SwitchbackOptions {
-  /// Per-day arm: day_treated[d] selects treated rows on the treated
-  /// source for day d, control rows on the control source otherwise.
+  /// Per-day arm: day_treated[d] keeps the treated rows of link 0 (the
+  /// 95% link) for day d, the control rows of link 1 (the 5% link)
+  /// otherwise — Section 5.3's emulation.
   std::vector<bool> day_treated;
-  /// Where treated/control rows come from in the emulation (Section 5.3
-  /// uses the 95% link for treated days, the 5% link for control days).
-  std::uint8_t treated_source_link = 0;
-  std::uint8_t control_source_link = 1;
   AnalysisOptions analysis;
 };
 

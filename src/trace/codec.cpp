@@ -1,9 +1,9 @@
 #include "trace/codec.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -99,18 +99,15 @@ std::vector<std::pair<std::string, std::string>> meta_to_kv(
           {"horizon_s", format_f64(meta.horizon_s)}};
 }
 
-bool parse_f64_token(const std::string& token, double& out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(token.c_str(), &end);
-  return end == token.c_str() + token.size();
-}
-
-bool parse_u64_token(const std::string& token, std::uint64_t& out) {
-  if (token.empty() || token[0] == '-' || token[0] == '+') return false;
-  char* end = nullptr;
-  out = std::strtoull(token.c_str(), &end, 10);
-  return end == token.c_str() + token.size();
+/// The whole of `token` as a T: no leading whitespace or '+', no sign on
+/// an unsigned T, no out-of-range value, no trailing characters. Doubles
+/// keep "nan", "-nan" and "inf", which format_f64 writes for corrupted
+/// telemetry.
+template <typename T>
+bool parse_token(const std::string& token, T& out) {
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, out);
+  return error == std::errc() && stop == end && !token.empty();
 }
 
 /// Apply one metadata key=value pair; `where` names the location for
@@ -124,13 +121,13 @@ void apply_meta_kv(TraceMeta& meta, const std::string& key,
   if (key == "source") {
     meta.source = value;
   } else if (key == "allocation") {
-    if (!parse_f64_token(value, meta.allocation)) bad_value();
+    if (!parse_token(value, meta.allocation)) bad_value();
   } else if (key == "intended_treated_fraction") {
-    if (!parse_f64_token(value, meta.intended_treated_fraction)) bad_value();
+    if (!parse_token(value, meta.intended_treated_fraction)) bad_value();
   } else if (key == "seed") {
-    if (!parse_u64_token(value, meta.seed)) bad_value();
+    if (!parse_token(value, meta.seed)) bad_value();
   } else if (key == "horizon_s") {
-    if (!parse_f64_token(value, meta.horizon_s)) bad_value();
+    if (!parse_token(value, meta.horizon_s)) bad_value();
   } else {
     fail(where + ": unknown metadata key '" + key + "'");
   }
@@ -211,27 +208,27 @@ void parse_csv_field(const std::string& token, std::size_t field,
   switch (kFields[field].type) {
     case FieldType::kU64: {
       std::uint64_t v;
-      if (!parse_u64_token(token, v)) bad();
+      if (!parse_token(token, v)) bad();
       std::memcpy(base + kFields[field].offset, &v, sizeof v);
       break;
     }
     case FieldType::kU32: {
       std::uint64_t v;
-      if (!parse_u64_token(token, v) || v > 0xffffffffULL) bad();
+      if (!parse_token(token, v) || v > 0xffffffffULL) bad();
       const auto narrow = static_cast<std::uint32_t>(v);
       std::memcpy(base + kFields[field].offset, &narrow, sizeof narrow);
       break;
     }
     case FieldType::kU8: {
       std::uint64_t v;
-      if (!parse_u64_token(token, v) || v > 0xffULL) bad();
+      if (!parse_token(token, v) || v > 0xffULL) bad();
       const auto narrow = static_cast<std::uint8_t>(v);
       std::memcpy(base + kFields[field].offset, &narrow, sizeof narrow);
       break;
     }
     case FieldType::kF64: {
       double v;
-      if (!parse_f64_token(token, v)) bad();
+      if (!parse_token(token, v)) bad();
       std::memcpy(base + kFields[field].offset, &v, sizeof v);
       break;
     }
@@ -256,7 +253,7 @@ TraceLog read_csv(std::istream& in) {
     const std::string rest = line.substr(kCsvMagicPrefix.size());
     const std::size_t space = rest.find(' ');
     if (space == std::string::npos ||
-        !parse_u64_token(rest.substr(0, space), version) ||
+        !parse_token(rest.substr(0, space), version) ||
         rest.substr(space + 1) != "csv") {
       fail("csv: line 1: malformed magic line '" + line + "'");
     }

@@ -1,11 +1,13 @@
 // End-to-end integration: run the paired-link video world and check that
-// the full analysis stack reproduces the *structure* of the paper's
+// the registry estimators reproduce the *structure* of the paper's
 // Section 4 findings; run the lab world through the gradual-deployment
 // machinery; exercise the emulated switchback/event-study designs.
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "core/designs/gradual.h"
 #include "core/designs/paired_link.h"
 #include "core/designs/switchback.h"
+#include "core/estimator.h"
 #include "core/session_metrics.h"
 #include "lab/experiment.h"
 #include "video/cluster.h"
@@ -41,6 +44,46 @@ const video::ClusterResult& experiment_run() {
 std::vector<core::Observation> column(const video::ClusterResult& run,
                                       core::Metric metric) {
   return core::select(run.sessions, metric, core::RowFilter{});
+}
+
+/// The seed-42 world as a hand-built one-cell report carrying every
+/// metric column, so the paired-link reads come off the registry
+/// estimators exactly as run_experiment's analysis stage would run them.
+const core::ExperimentReport& experiment_report() {
+  static const core::ExperimentReport report = [] {
+    core::ExperimentReport r;
+    r.allocations = {0.95};
+    r.replicates = 1;
+    r.cells.resize(1);
+    r.cells[0].allocation = 0.95;
+    for (const core::Metric metric : core::kAllMetrics) {
+      r.cells[0].table.add_column(std::string(core::metric_name(metric)),
+                                  column(experiment_run(), metric));
+    }
+    return r;
+  }();
+  return report;
+}
+
+/// One row of a registry estimator over one metric of that report.
+core::EffectEstimate registry_estimate(std::string_view estimator,
+                                       core::Metric metric,
+                                       std::string_view label) {
+  const auto rows = core::make_estimator(estimator)->estimate_metric(
+      experiment_report(), core::metric_name(metric), {});
+  for (const core::EstimateRow& row : rows) {
+    if (row.label == label) return row.effect();
+  }
+  ADD_FAILURE() << estimator << " has no '" << label << "' row";
+  return {};
+}
+
+/// Mean outcome of one (link, arm) cell of a metric column.
+double cell_mean(const std::vector<core::Observation>& rows, int link,
+                 bool treated) {
+  core::RowFilter filter;
+  filter.link = link;
+  return core::arm_mean(core::select(rows, filter), treated);
 }
 
 TEST(PairedLinkWorld, ProducesBalancedLinks) {
@@ -81,43 +124,75 @@ TEST(PairedLinkWorld, CappedLinkLessCongested) {
 }
 
 TEST(PairedLinkAnalysis, SmokingGunStructure) {
-  const auto& run = experiment_run();
-  const core::PairedLinkReport report =
-      core::analyze_paired_link(column(run, core::Metric::kMinRtt));
+  const auto min_rtt = column(experiment_run(), core::Metric::kMinRtt);
   // Within-link (naive) differences are tiny compared to the cross-link
   // (TTE) difference: treatment and control share the queue.
-  const double within0 = std::fabs(report.cell_mean[0][1] -
-                                   report.cell_mean[0][0]);
-  const double within1 = std::fabs(report.cell_mean[1][1] -
-                                   report.cell_mean[1][0]);
-  const double across = std::fabs(report.cell_mean[0][1] -
-                                  report.cell_mean[1][0]);
+  const double within0 = std::fabs(cell_mean(min_rtt, 0, true) -
+                                   cell_mean(min_rtt, 0, false));
+  const double within1 = std::fabs(cell_mean(min_rtt, 1, true) -
+                                   cell_mean(min_rtt, 1, false));
+  const double across = std::fabs(cell_mean(min_rtt, 0, true) -
+                                  cell_mean(min_rtt, 1, false));
   EXPECT_LT(within0, 0.25 * across);
   EXPECT_LT(within1, 0.25 * across);
   // TTE: capping improves (reduces) min RTT by a large margin. (With only
   // two days of data the conservative hourly Newey-West intervals may not
   // clear 95% significance; the five-day benchmark run does.)
-  EXPECT_LT(report.tte.relative(), -0.15);
+  EXPECT_LT(
+      registry_estimate("paired_link/tte", core::Metric::kMinRtt, "tte")
+          .relative(),
+      -0.15);
   // Spillover: uncapped traffic on the capped link also improves.
-  EXPECT_LT(report.spillover.estimate, 0.0);
+  EXPECT_LT(registry_estimate("paired_link/spillover", core::Metric::kMinRtt,
+                              "spillover")
+                .estimate,
+            0.0);
 }
 
 TEST(PairedLinkAnalysis, BitrateDropsRoughlyAQuarter) {
-  const auto& run = experiment_run();
-  const auto report =
-      core::analyze_paired_link(column(run, core::Metric::kBitrate));
-  EXPECT_LT(report.tte.relative(), -0.15);
-  EXPECT_GT(report.tte.relative(), -0.45);
+  const auto tte =
+      registry_estimate("paired_link/tte", core::Metric::kBitrate, "tte");
+  EXPECT_LT(tte.relative(), -0.15);
+  EXPECT_GT(tte.relative(), -0.45);
 }
 
 TEST(PairedLinkAnalysis, AllMetricsProduceFiniteEstimates) {
-  const auto& run = experiment_run();
   for (const core::Metric metric : core::kAllMetrics) {
-    const auto report = core::analyze_paired_link(column(run, metric));
-    EXPECT_TRUE(std::isfinite(report.tte.estimate)) << metric_name(metric);
-    EXPECT_TRUE(std::isfinite(report.spillover.std_error))
-        << metric_name(metric);
-    EXPECT_LE(report.tte.ci_low, report.tte.ci_high);
+    SCOPED_TRACE(metric_name(metric));
+    // The primitive itself, unguarded: a throw or a NaN here fails the
+    // test instead of degrading to the registry's all-zero null row.
+    const auto contrast =
+        core::tte_contrast(column(experiment_run(), metric));
+    const auto direct = core::hourly_fe_analysis(contrast);
+    EXPECT_TRUE(std::isfinite(direct.estimate));
+    EXPECT_TRUE(std::isfinite(direct.std_error));
+    // The registry row is that same fit, not a null stand-in for it.
+    const auto tte = registry_estimate("paired_link/tte", metric, "tte");
+    EXPECT_EQ(tte.estimate, direct.estimate);
+    EXPECT_EQ(tte.std_error, direct.std_error);
+    EXPECT_EQ(tte.ci_low, direct.ci_low);
+    EXPECT_EQ(tte.ci_high, direct.ci_high);
+    const auto spillover =
+        registry_estimate("paired_link/spillover", metric, "spillover");
+    EXPECT_TRUE(std::isfinite(spillover.estimate));
+    EXPECT_TRUE(std::isfinite(spillover.std_error));
+    // Every metric that varies gets a real estimate with a real interval.
+    // (No session of this 2-day world cancels its start, so that column
+    // is all zero and both fits are exactly 0 +- 0.)
+    const bool varies = std::any_of(
+        contrast.begin(), contrast.end(), [&](const core::Observation& o) {
+          return o.outcome != contrast.front().outcome;
+        });
+    if (metric == core::Metric::kCancelledStart) {
+      EXPECT_FALSE(varies);
+      continue;
+    }
+    ASSERT_TRUE(varies);
+    EXPECT_GT(tte.std_error, 0.0);
+    EXPECT_NE(tte.baseline, 0.0);
+    EXPECT_LT(tte.ci_low, tte.ci_high);
+    EXPECT_GT(spillover.std_error, 0.0);
+    EXPECT_NE(spillover.baseline, 0.0);
   }
 }
 
@@ -133,14 +208,15 @@ TEST(SelectAdapter, FiltersAndRelabels) {
 }
 
 TEST(Switchback, EstimatesTteCloseToPairedLink) {
-  const auto min_rtt = column(experiment_run(), core::Metric::kMinRtt);
-  const auto paired = core::analyze_paired_link(min_rtt);
-  core::SwitchbackOptions options;
-  options.day_treated = {true, false};  // 2-day run
-  const auto tte = core::switchback_tte(min_rtt, options);
+  // switchback/tte alternates days starting treated: {true, false} over
+  // the 2-day run.
+  const auto tte =
+      registry_estimate("switchback/tte", core::Metric::kMinRtt, "tte");
+  const auto paired =
+      registry_estimate("paired_link/tte", core::Metric::kMinRtt, "tte");
   // Same sign; magnitudes comparable (wide tolerance: 1 day per arm).
   EXPECT_LT(tte.estimate, 0.0);
-  EXPECT_NEAR(tte.relative(), paired.tte.relative(), 0.35);
+  EXPECT_NEAR(tte.relative(), paired.relative(), 0.35);
 }
 
 TEST(Switchback, RequiresAssignment) {

@@ -181,6 +181,15 @@ TEST(TraceCodec, MalformedCsvValueNamesLineAndField) {
   // metadata, line 7 the header, line 8 the first data row.
   expect_csv_error("600,", "sixhundred,",
                    {"line 8", "duration_s", "sixhundred"});
+  // An integer token is the whole token: no leading whitespace, no sign
+  // (a wrapped " -5" would read as 2^64 - 5), no value past 2^64 - 1
+  // (which would clamp to 2^64 - 1).
+  expect_csv_error("\n1000,", "\n -5,", {"line 8", "session_id", "' -5'"});
+  expect_csv_error("\n1000,", "\n99999999999999999999999,",
+                   {"line 8", "session_id", "99999999999999999999999"});
+  expect_csv_error("\n1000,", "\n 12,", {"line 8", "session_id", "' 12'"});
+  // Metadata values follow the same rule; #seed is line 5.
+  expect_csv_error("#seed=9", "#seed= -10", {"line 5", "seed", "' -10'"});
 }
 
 TEST(TraceCodec, MalformedCsvHeaderNamesColumn) {

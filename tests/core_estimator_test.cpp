@@ -235,6 +235,161 @@ TEST_F(EstimatorPipeline, EstimateTableLookupFailsWithClearError) {
   }
 }
 
+// --- Row shapes of every built-in estimator on hand-built reports ---
+
+/// Two days of hourly rows for one world. Paired worlds put a mostly-
+/// treated link (group 0) next to a mostly-control one (group 1); single-
+/// group worlds treat accounts with probability `allocation`.
+core::ObservationTable shape_world(bool paired, double allocation,
+                                   std::uint64_t seed) {
+  stats::Rng rng(seed);
+  std::vector<core::Observation> rows;
+  std::uint64_t unit = 0;
+  for (std::uint64_t hour = 0; hour < 48; ++hour) {
+    for (std::uint8_t group = 0; group < (paired ? 2 : 1); ++group) {
+      for (std::uint64_t account = 0; account < 8; ++account) {
+        core::Observation row;
+        row.unit = unit++;
+        row.account = group * 100 + account;
+        row.treated = paired ? (account % 4 == 0) == (group == 1)
+                             : rng.bernoulli(allocation);
+        row.outcome = 10.0 + (row.treated ? 1.0 : 0.0) + rng.normal(0.0, 1.0);
+        row.hour_of_day = static_cast<std::uint32_t>(hour % 24);
+        row.hour_index = hour;
+        row.day = static_cast<std::uint32_t>(hour / 24);
+        row.group = group;
+        rows.push_back(row);
+      }
+    }
+  }
+  core::ObservationTable table;
+  table.add_column("outcome", std::move(rows));
+  return table;
+}
+
+core::ExperimentReport shape_report(std::vector<double> allocations,
+                                    bool paired) {
+  core::ExperimentReport report;
+  report.scenario = "hand/built";
+  report.allocations = std::move(allocations);
+  report.replicates = 2;
+  for (std::size_t a = 0; a < report.allocations.size(); ++a) {
+    for (std::size_t r = 0; r < report.replicates; ++r) {
+      core::ExperimentCell cell;
+      cell.allocation = report.allocations[a];
+      cell.replicate = r;
+      cell.seed = 1000 + a * 10 + r;
+      cell.table = shape_world(paired, cell.allocation, cell.seed);
+      report.cells.push_back(std::move(cell));
+    }
+  }
+  return report;
+}
+
+/// "<row key> <estimand> @<allocation> x<replicates>", one per row.
+std::vector<std::string> row_shapes(const core::EstimateTable& table) {
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < table.rows.size(); ++i) {
+    const core::EstimateRow& row = table.rows[i];
+    out.push_back(table.names[i] + " " + core::estimand_name(row.estimand) +
+                  " @" + std::to_string(row.allocation) + " x" +
+                  std::to_string(row.replicates.size()));
+  }
+  return out;
+}
+
+TEST(EstimatorShapes, EveryBuiltinKeepsItsRowsOnHandBuiltReports) {
+  // A paired two-allocation sweep whose first cell failed: row labels
+  // anchor on the first usable replicate, every row carries the @<p>
+  // suffix, and the failed world is a null replicate in its rows.
+  core::ExperimentReport paired = shape_report({0.25, 0.75}, true);
+  paired.cells[0].status.state = core::CellState::kFailed;
+  paired.cells[0].table = core::ObservationTable{};
+  // A single-group sweep whose p = 0 step has no treated row: naive/ab
+  // skips it, gradual/contrast reads it as the baseline world.
+  const core::ExperimentReport single = shape_report({0.0, 0.5}, false);
+  // Every cell failed: no metric to name rows after.
+  core::ExperimentReport failed = shape_report({0.5}, true);
+  for (core::ExperimentCell& cell : failed.cells) {
+    cell.status.state = core::CellState::kFailed;
+    cell.table = core::ObservationTable{};
+  }
+
+  const auto at = [](const char* key, const char* estimand, double p) {
+    return std::string("outcome/") + key + " " + estimand + " @" +
+           std::to_string(p) + " x2";
+  };
+  struct Expected {
+    const char* key;
+    std::vector<std::string> paired;
+    std::vector<std::string> single;
+  };
+  const std::vector<Expected> expected = {
+      {"naive/ab",
+       {at("tau(link1)@0.25", "tau(p)", 0.25),
+        at("tau(link2)@0.25", "tau(p)", 0.25),
+        at("tau(link1)@0.75", "tau(p)", 0.75),
+        at("tau(link2)@0.75", "tau(p)", 0.75)},
+       {at("tau@0.5", "tau(p)", 0.5)}},
+      {"paired_link/tte",
+       {at("tte@0.25", "TTE", 0.25), at("tte(account)@0.25", "TTE", 0.25),
+        at("tte@0.75", "TTE", 0.75), at("tte(account)@0.75", "TTE", 0.75)},
+       {at("tte@0", "TTE", 0.0), at("tte(account)@0", "TTE", 0.0),
+        at("tte@0.5", "TTE", 0.5), at("tte(account)@0.5", "TTE", 0.5)}},
+      {"paired_link/spillover",
+       {at("spillover@0.25", "spillover", 0.25),
+        at("spillover@0.75", "spillover", 0.75)},
+       {at("spillover@0", "spillover", 0.0),
+        at("spillover@0.5", "spillover", 0.5)}},
+      {"switchback/tte",
+       {at("tte@0.25", "TTE", 0.25), at("tte@0.75", "TTE", 0.75)},
+       {at("tte@0", "TTE", 0.0), at("tte@0.5", "TTE", 0.5)}},
+      {"event_study/tte",
+       {at("tte@0.25", "TTE", 0.25), at("tte@0.75", "TTE", 0.75)},
+       {at("tte@0", "TTE", 0.0), at("tte@0.5", "TTE", 0.5)}},
+      {"gradual/contrast",
+       {at("tte", "TTE", 0.75), at("tau@0.25", "tau(p)", 0.25),
+        at("tau@0.75", "tau(p)", 0.75),
+        at("spillover@0.75", "spillover", 0.75)},
+       {at("tte", "TTE", 0.5), at("tau@0.5", "tau(p)", 0.5),
+        at("spillover@0.5", "spillover", 0.5)}},
+      {"quantile/ladder",
+       {at("p50@0.25", "TTE", 0.25), at("p90@0.25", "TTE", 0.25),
+        at("p99@0.25", "TTE", 0.25), at("p50@0.75", "TTE", 0.75),
+        at("p90@0.75", "TTE", 0.75), at("p99@0.75", "TTE", 0.75)},
+       {at("p50@0", "tau(p)", 0.0), at("p90@0", "tau(p)", 0.0),
+        at("p99@0", "tau(p)", 0.0), at("p50@0.5", "tau(p)", 0.5),
+        at("p90@0.5", "tau(p)", 0.5), at("p99@0.5", "tau(p)", 0.5)}},
+      {"aa/null",
+       {at("link_diff@0.25", "tau(p)", 0.25),
+        at("link_diff@0.75", "tau(p)", 0.75)},
+       {at("arm_diff@0", "tau(p)", 0.0), at("arm_diff@0.5", "tau(p)", 0.5)}},
+      {"guardrail/srm",
+       {at("srm@0.25", "tau(p)", 0.25), at("srm@0.75", "tau(p)", 0.75)},
+       {at("srm@0", "tau(p)", 0.0), at("srm@0.5", "tau(p)", 0.5)}},
+  };
+  ASSERT_EQ(expected.size(), core::estimator_names().size());
+
+  for (const Expected& e : expected) {
+    SCOPED_TRACE(e.key);
+    const auto estimator = core::make_estimator(e.key);
+    const core::EstimateTable paired_table = estimator->estimate(paired);
+    EXPECT_EQ(row_shapes(paired_table), e.paired);
+    EXPECT_EQ(row_shapes(estimator->estimate(single)), e.single);
+    const core::EstimateTable none = estimator->estimate(failed);
+    EXPECT_EQ(none.estimator, e.key);
+    EXPECT_TRUE(none.rows.empty());
+    EXPECT_TRUE(estimator->estimate_metric(failed, "outcome", {}).empty());
+    // The failed world is a null replicate wherever it is read.
+    for (const core::EstimateRow& row : paired_table.rows) {
+      if (row.allocation != 0.25) continue;
+      EXPECT_EQ(row.replicates[0].estimate, 0.0) << row.label;
+      EXPECT_EQ(row.replicates[0].p_value, 1.0) << row.label;
+      EXPECT_FALSE(row.replicates[0].significant) << row.label;
+    }
+  }
+}
+
 TEST(EstimateTableUnit, DuplicateRowKeysAreRejected) {
   core::EstimateTable table;
   core::EstimateRow row;

@@ -10,9 +10,8 @@
 
 int main() {
   xp::bench::header("Figure 7 — throughput cell means and estimands");
-  const auto report = xp::bench::bootstrap_weeks(
-      "paired_links/experiment", 1,
-      {"naive/ab", "paired_link/tte", "paired_link/spillover"});
+  const auto report =
+      xp::bench::bootstrap_weeks("paired_links/experiment", 1);
 
   std::printf("cells for avg throughput (Mb/s):\n");
   std::printf("  %-26s %12s %12s\n", "", "control", "treatment");

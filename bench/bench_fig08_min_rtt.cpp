@@ -11,9 +11,8 @@
 
 int main() {
   xp::bench::header("Figure 8 — min RTT cell means (normalized)");
-  const auto report = xp::bench::bootstrap_weeks(
-      "paired_links/experiment", 1,
-      {"naive/ab", "paired_link/tte", "paired_link/spillover"});
+  const auto report =
+      xp::bench::bootstrap_weeks("paired_links/experiment", 1);
 
   double cell_mean[2][2];
   double smallest = 1e18;

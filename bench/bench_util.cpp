@@ -40,10 +40,13 @@ double arm_mean(const lab::ExperimentReport& report, std::size_t a,
 std::string relative_effect(const lab::ExperimentReport& report,
                             std::string_view estimator,
                             std::string_view metric, std::string_view label) {
+  core::EstimateTable table;
+  for (core::EstimateRow& row : core::make_estimator(estimator)
+                                    ->estimate_metric(report, metric, {})) {
+    table.add_row(std::move(row));
+  }
   return core::format_relative(
-      report.estimates_for(estimator)
-          .row(std::string(metric) + "/" + std::string(label))
-          .effect());
+      table.row(std::string(metric) + "/" + std::string(label)).effect());
 }
 
 const core::EffectEstimate* step_effect(const lab::ExperimentReport& report,

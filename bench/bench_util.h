@@ -37,7 +37,8 @@ lab::ExperimentReport lab_sweep(const std::string& scenario);
 double arm_mean(const lab::ExperimentReport& report, std::size_t a,
                 std::string_view metric, bool treated, int link = -1);
 
-/// The headline "<metric>/<label>" row of `estimator` in `report`,
+/// The headline "<metric>/<label>" row of `estimator` run on `report`'s
+/// `metric` column alone (default EstimatorOptions, the spec defaults),
 /// formatted as a relative effect with its significance star (the text
 /// fig05's table cells print).
 std::string relative_effect(const lab::ExperimentReport& report,

@@ -198,228 +198,267 @@ EstimateRow replicate_row(const ExperimentReport& report, std::size_t a,
 /// the report's tables is a caller error and throws (naming the available
 /// metric columns, the registry convention), while a report with no OK
 /// cell at all degrades to zero rows — there is no data to name rows
-/// after, let alone analyze. Subclasses implement rows() and see only
-/// metrics that exist.
-class BuiltinEstimator : public Estimator {
- public:
-  std::vector<EstimateRow> estimate_metric(
-      const ExperimentReport& report, std::string_view metric,
-      const EstimatorOptions& options) const final {
-    const ExperimentCell* first_ok = report.first_ok_cell();
-    if (first_ok == nullptr) return {};
-    // Throws std::invalid_argument listing the available metric columns
-    // on a miss — never a silent null row for a misspelled metric.
-    (void)first_ok->table.column(metric);
-    return rows(report, metric, options);
-  }
+/// after, let alone analyze. True when there are rows to compute.
+bool has_rows(const ExperimentReport& report, std::string_view metric) {
+  const ExperimentCell* first_ok = report.first_ok_cell();
+  if (first_ok == nullptr) return false;
+  // Throws std::invalid_argument listing the available metric columns
+  // on a miss — never a silent null row for a misspelled metric.
+  (void)first_ok->table.column(metric);
+  return true;
+}
 
- private:
-  virtual std::vector<EstimateRow> rows(
-      const ExperimentReport& report, std::string_view metric,
-      const EstimatorOptions& options) const = 0;
+// ------------------------------------------------------- per-cell reads ----
+//
+// Most designs read each replicate world on its own. Such a design is a
+// read function over one cell plus its fixed row labels; PerCellEstimator
+// owns the allocation x replicate loop around it.
+
+/// What a per-cell read sees of one replicate world.
+struct CellInput {
+  const ExperimentCell& cell;
+  /// The cell's metric column; empty unless the cell is OK, which flows
+  /// through every row guard as "too thin" and yields null estimates.
+  Rows rows;
+  /// The allocation's data shape (two link groups, or one), anchored on
+  /// its first usable replicate so a failed replicate 0 changes no label.
+  bool paired;
+  /// Resampling seed of this (allocation, replicate).
+  std::uint64_t seed;
+  const AnalysisOptions& analysis;
 };
+
+/// One estimate per label of the read's shape, in label order.
+using CellRead = std::vector<EffectEstimate> (*)(const CellInput&);
+
+struct Label {
+  const char* text;
+  Estimand estimand;
+};
+
+struct PerCellDesign {
+  const char* name;  ///< the registry key
+  std::vector<Label> paired_labels;
+  /// Labels on single-group data; empty means the paired labels.
+  std::vector<Label> single_labels;
+  CellRead read;
+  /// Skip allocations where no replicate has a treated row (a p ~ 0
+  /// baseline step has no A/B contrast to read) instead of null rows.
+  bool needs_treated = false;
+};
+
+/// Account-level Welch on the rows as labeled.
+EffectEstimate account_read(Rows rows, const AnalysisOptions& analysis) {
+  return guarded([&] { return accounts_ok(rows); },
+                 [&] { return account_level_analysis(rows, analysis); });
+}
+
+/// The hourly FE + Newey-West pipeline over already-built observations.
+EffectEstimate hourly_read(Rows obs, const AnalysisOptions& analysis) {
+  return guarded([&] { return hourly_ok(obs); },
+                 [&] { return hourly_fe_analysis(obs, analysis); });
+}
+
+/// The analysis options normalized by the paired global control cell.
+AnalysisOptions paired_normalized(const CellInput& in) {
+  AnalysisOptions analysis = in.analysis;
+  analysis.baseline_override = paired_baseline(in.rows);
+  return analysis;
+}
 
 /// naive/ab — the read every practitioner starts with: account-level
 /// Welch within each arm's own link. On paired data, one row per link
 /// (tau(link1) is the mostly-treated read, tau(link2) the mostly-control
 /// one), both normalized by the global control cell; on single-group
 /// data, one pooled "tau" row.
-class NaiveAbEstimator final : public BuiltinEstimator {
- public:
-  std::string_view name() const noexcept override { return "naive/ab"; }
-
-  std::vector<EstimateRow> rows(
-      const ExperimentReport& report, std::string_view metric,
-      const EstimatorOptions& options) const override {
-    std::vector<EstimateRow> out;
-    for (std::size_t a = 0; a < report.allocations.size(); ++a) {
-      // A world with nothing treated (a p ~ 0 baseline step) has no A/B
-      // contrast to read — skip it instead of emitting null rows.
-      if (!any_treated(report, a, metric)) continue;
-      const std::string suffix = allocation_suffix(report, a);
-      if (two_groups(first_usable_rows(report, a, metric))) {
-        for (int link = 0; link < 2; ++link) {
-          out.push_back(replicate_row(
-              report, a, metric,
-              "tau(link" + std::to_string(link + 1) + ")" + suffix,
-              Estimand::kAverageTreatmentEffect, [&](std::size_t r) {
-                const Rows rows = metric_column(report, a, r, metric);
-                RowFilter filter;
-                filter.link = link;
-                const auto within = select(rows, filter);
-                AnalysisOptions analysis = options.analysis;
-                analysis.baseline_override = paired_baseline(rows);
-                return guarded(
-                    [&] { return accounts_ok(within); },
-                    [&] { return account_level_analysis(within, analysis); });
-              }));
-        }
-      } else {
-        out.push_back(replicate_row(
-            report, a, metric, "tau" + suffix,
-            Estimand::kAverageTreatmentEffect, [&](std::size_t r) {
-              const Rows rows = metric_column(report, a, r, metric);
-              return guarded(
-                  [&] { return accounts_ok(rows); },
-                  [&] {
-                    return account_level_analysis(rows, options.analysis);
-                  });
-            }));
-      }
-    }
-    return out;
+std::vector<EffectEstimate> read_naive_ab(const CellInput& in) {
+  if (!in.paired) return {account_read(in.rows, in.analysis)};
+  const AnalysisOptions analysis = paired_normalized(in);
+  std::vector<EffectEstimate> out;
+  for (int link = 0; link < 2; ++link) {
+    RowFilter filter;
+    filter.link = link;
+    out.push_back(account_read(select(in.rows, filter), analysis));
   }
-};
+  return out;
+}
 
 /// paired_link/tte — the cross-link contrast (treated on the mostly-
-/// treated link vs control on the mostly-control link). Two rows per
-/// metric: "tte" through the conservative hourly FE + Newey-West
-/// pipeline (the paper's default) and "tte(account)" through the
-/// account-level Welch read — the Figure 13 aggregation comparison.
-class PairedLinkTteEstimator final : public BuiltinEstimator {
- public:
-  std::string_view name() const noexcept override {
-    return "paired_link/tte";
-  }
-
-  std::vector<EstimateRow> rows(
-      const ExperimentReport& report, std::string_view metric,
-      const EstimatorOptions& options) const override {
-    std::vector<EstimateRow> out;
-    for (std::size_t a = 0; a < report.allocations.size(); ++a) {
-      const std::string suffix = allocation_suffix(report, a);
-      EstimateRow hourly_row;
-      hourly_row.metric = std::string(metric);
-      hourly_row.label = "tte" + suffix;
-      hourly_row.estimand = Estimand::kTotalTreatmentEffect;
-      hourly_row.allocation = report.allocations[a];
-      EstimateRow account_row = hourly_row;
-      account_row.label = "tte(account)" + suffix;
-      // One contrast + baseline scan per replicate feeds both reads.
-      for (std::size_t r = 0; r < report.replicates; ++r) {
-        const Rows rows = metric_column(report, a, r, metric);
-        const auto contrast = tte_contrast(rows);
-        AnalysisOptions analysis = options.analysis;
-        analysis.baseline_override = paired_baseline(rows);
-        hourly_row.replicates.push_back(guarded(
-            [&] { return hourly_ok(contrast); },
-            [&] { return hourly_fe_analysis(contrast, analysis); }));
-        account_row.replicates.push_back(guarded(
-            [&] { return accounts_ok(contrast); },
-            [&] { return account_level_analysis(contrast, analysis); }));
-      }
-      out.push_back(std::move(hourly_row));
-      out.push_back(std::move(account_row));
-    }
-    return out;
-  }
-};
+/// treated link vs control on the mostly-control link), read twice:
+/// "tte" through the conservative hourly FE + Newey-West pipeline (the
+/// paper's default) and "tte(account)" through the account-level Welch
+/// read — the Figure 13 aggregation comparison.
+std::vector<EffectEstimate> read_paired_tte(const CellInput& in) {
+  const auto contrast = tte_contrast(in.rows);
+  const AnalysisOptions analysis = paired_normalized(in);
+  return {hourly_read(contrast, analysis), account_read(contrast, analysis)};
+}
 
 /// paired_link/spillover — s(p): control units on the mostly-treated
 /// link vs control units on the mostly-control link, hourly FE pipeline.
-class PairedLinkSpilloverEstimator final : public BuiltinEstimator {
- public:
-  std::string_view name() const noexcept override {
-    return "paired_link/spillover";
-  }
-
-  std::vector<EstimateRow> rows(
-      const ExperimentReport& report, std::string_view metric,
-      const EstimatorOptions& options) const override {
-    std::vector<EstimateRow> out;
-    for (std::size_t a = 0; a < report.allocations.size(); ++a) {
-      out.push_back(replicate_row(
-          report, a, metric, "spillover" + allocation_suffix(report, a),
-          Estimand::kSpillover, [&](std::size_t r) {
-            const Rows rows = metric_column(report, a, r, metric);
-            RowFilter exposed;
-            exposed.link = 0;
-            exposed.treated = 0;
-            RowFilter control;
-            control.link = 1;
-            control.treated = 0;
-            const auto obs = cross_cell_contrast(rows, exposed, control);
-            AnalysisOptions analysis = options.analysis;
-            analysis.baseline_override = paired_baseline(rows);
-            return guarded([&] { return hourly_ok(obs); },
-                           [&] { return hourly_fe_analysis(obs, analysis); });
-          }));
-    }
-    return out;
-  }
-};
+std::vector<EffectEstimate> read_spillover(const CellInput& in) {
+  RowFilter exposed;
+  exposed.link = 0;
+  exposed.treated = 0;
+  RowFilter control;
+  control.link = 1;
+  control.treated = 0;
+  return {hourly_read(cross_cell_contrast(in.rows, exposed, control),
+                      paired_normalized(in))};
+}
 
 /// switchback/tte — the emulated switchback of Section 5.3: alternating
 /// daily intervals (days 1, 3, 5... treated) over however many days the
 /// data covers, analyzed with the hourly FE pipeline. Normalized by the
 /// paired global control cell when the data is paired.
-class SwitchbackTteEstimator final : public BuiltinEstimator {
- public:
-  std::string_view name() const noexcept override {
-    return "switchback/tte";
-  }
-
-  std::vector<EstimateRow> rows(
-      const ExperimentReport& report, std::string_view metric,
-      const EstimatorOptions& options) const override {
-    std::vector<EstimateRow> out;
-    for (std::size_t a = 0; a < report.allocations.size(); ++a) {
-      out.push_back(replicate_row(
-          report, a, metric, "tte" + allocation_suffix(report, a),
-          Estimand::kTotalTreatmentEffect, [&](std::size_t r) {
-            const Rows rows = metric_column(report, a, r, metric);
-            const std::uint32_t days = day_count(rows);
-            if (days < 2) return EffectEstimate{};
-            SwitchbackOptions sb;
-            sb.analysis = options.analysis;
-            sb.analysis.baseline_override = paired_baseline(rows);
-            sb.day_treated.resize(days);
-            for (std::uint32_t d = 0; d < days; ++d) {
-              sb.day_treated[d] = d % 2 == 0;
-            }
-            const auto obs = switchback_observations(rows, sb);
-            return guarded(
-                [&] { return hourly_ok(obs); },
-                [&] { return hourly_fe_analysis(obs, sb.analysis); });
-          }));
-    }
-    return out;
-  }
-};
+std::vector<EffectEstimate> read_switchback(const CellInput& in) {
+  const std::uint32_t days = day_count(in.rows);
+  if (days < 2) return {EffectEstimate{}};
+  SwitchbackOptions sb;
+  sb.analysis = paired_normalized(in);
+  sb.day_treated.resize(days);
+  for (std::uint32_t d = 0; d < days; ++d) sb.day_treated[d] = d % 2 == 0;
+  return {hourly_read(switchback_observations(in.rows, sb), sb.analysis)};
+}
 
 /// event_study/tte — the emulated deployment-day event study: control
 /// link data before the mid-horizon switch day, treated link data after,
 /// hourly FE pipeline. The design the paper shows to be seasonally
 /// biased.
-class EventStudyTteEstimator final : public BuiltinEstimator {
- public:
-  std::string_view name() const noexcept override {
-    return "event_study/tte";
-  }
+std::vector<EffectEstimate> read_event_study(const CellInput& in) {
+  const std::uint32_t days = day_count(in.rows);
+  if (days < 2) return {EffectEstimate{}};
+  EventStudyOptions es;
+  es.analysis = paired_normalized(in);
+  es.switch_day = (days + 1) / 2;  // "between Thursday and Friday"
+  return {hourly_read(event_study_observations(in.rows, es), es.analysis)};
+}
 
-  std::vector<EstimateRow> rows(
+/// quantile/ladder — p50/p90/p99 quantile treatment effects with
+/// percentile-bootstrap intervals. On paired data the ladder runs over
+/// the TTE contrast (the Figure 9 pairing); otherwise over the rows as
+/// labeled. quantile_effect_ladder derives its per-rung streams from the
+/// cell's seed, so the ladder is reproducible at any thread count.
+constexpr double kLadderQuantiles[] = {0.5, 0.9, 0.99};
+
+std::vector<EffectEstimate> read_quantile_ladder(const CellInput& in) {
+  std::vector<Observation> contrast =
+      in.paired ? tte_contrast(in.rows)
+                : std::vector<Observation>(in.rows.begin(), in.rows.end());
+  // Quantiles have no aggregation step to hide behind: drop corrupted
+  // (non-finite) outcomes here, like the regression pipelines do in
+  // aggregate_hourly.
+  std::erase_if(contrast, [](const Observation& row) {
+    return !std::isfinite(row.outcome);
+  });
+  QuantileEffectOptions ladder_options;
+  ladder_options.confidence_level = in.analysis.confidence_level;
+  ladder_options.bootstrap_replicates = in.analysis.bootstrap_replicates;
+  ladder_options.seed = in.seed;
+  // A failed guard nulls every rung of this replicate.
+  std::vector<EffectEstimate> out(std::size(kLadderQuantiles));
+  if (!both_arms(contrast, 10)) return out;
+  try {
+    const auto ladder =
+        quantile_effect_ladder(contrast, kLadderQuantiles, ladder_options);
+    for (std::size_t q = 0; q < out.size(); ++q) {
+      // Same finiteness backstop as guarded(): an all-NaN column yields
+      // NaN quantiles without throwing, which must null out.
+      if (std::isfinite(ladder[q].effect.estimate)) out[q] = ladder[q].effect;
+    }
+  } catch (const std::exception&) {
+  }
+  return out;
+}
+
+/// aa/null — the A/A calibration read (Section 4.1): on paired data, the
+/// link-similarity difference (control rows of link 1 vs control rows of
+/// link 2 through the hourly FE pipeline — significant rows are
+/// pre-existing imbalances); on single-group data, the as-labeled
+/// account-level difference. Either way the expected answer is "null".
+std::vector<EffectEstimate> read_aa_null(const CellInput& in) {
+  if (!in.paired) return {account_read(in.rows, in.analysis)};
+  return {hourly_read(aa_link_contrast(in.rows), in.analysis)};
+}
+
+/// guardrail/srm — the sample-ratio-mismatch check as first-class
+/// estimate rows, one per allocation: estimate = observed - intended
+/// treated fraction, p-value from the 1-df chi-square, significant iff
+/// the guardrail tripped. On healthy worlds every row is null-ish
+/// (p ~ 1); a significant row means the cell's assignment or telemetry
+/// is broken and its other estimates should not be believed. Reads the
+/// DataQualityReport the pipeline attached to each cell, recomputing
+/// against the raw allocation for hand-built reports that never ran
+/// through run_experiment.
+std::vector<EffectEstimate> read_srm(const CellInput& in) {
+  const ExperimentCell& cell = in.cell;
+  if (!cell.status.ok()) return {EffectEstimate{}};
+  const DataQualityReport quality =
+      cell.quality.computed ? cell.quality
+                            : assess_quality(cell.table, cell.allocation);
+  if (quality.rows == 0) return {EffectEstimate{}};
+  const double f = quality.intended_treated_fraction;
+  const auto n = static_cast<double>(quality.rows);
+  EffectEstimate estimate;
+  estimate.estimate = quality.observed_treated_fraction - f;
+  estimate.baseline = f;
+  estimate.std_error = std::sqrt(std::max(0.0, f * (1.0 - f)) / n);
+  const double z = stats::normal_inv(0.5 + in.analysis.confidence_level / 2.0);
+  estimate.ci_low = estimate.estimate - z * estimate.std_error;
+  estimate.ci_high = estimate.estimate + z * estimate.std_error;
+  estimate.p_value = quality.srm_p_value;
+  estimate.significant = quality.srm_flag;
+  return {estimate};
+}
+
+/// The allocation x replicate loop every per-cell design shares: per
+/// allocation, anchor the data shape, read each replicate world with its
+/// own resampling substream, and transpose the reads into one row per
+/// label ("@<allocation>"-suffixed on sweeps).
+class PerCellEstimator final : public Estimator {
+ public:
+  /// `design` must outlive the estimator (the registry's are static).
+  explicit PerCellEstimator(const PerCellDesign& design) : design_(design) {}
+
+  std::string_view name() const noexcept override { return design_.name; }
+
+  std::vector<EstimateRow> estimate_metric(
       const ExperimentReport& report, std::string_view metric,
       const EstimatorOptions& options) const override {
     std::vector<EstimateRow> out;
+    if (!has_rows(report, metric)) return out;
     for (std::size_t a = 0; a < report.allocations.size(); ++a) {
-      out.push_back(replicate_row(
-          report, a, metric, "tte" + allocation_suffix(report, a),
-          Estimand::kTotalTreatmentEffect, [&](std::size_t r) {
-            const Rows rows = metric_column(report, a, r, metric);
-            const std::uint32_t days = day_count(rows);
-            if (days < 2) return EffectEstimate{};
-            EventStudyOptions es;
-            es.analysis = options.analysis;
-            es.analysis.baseline_override = paired_baseline(rows);
-            es.switch_day = (days + 1) / 2;  // "between Thursday and Friday"
-            const auto obs = event_study_observations(rows, es);
-            return guarded(
-                [&] { return hourly_ok(obs); },
-                [&] { return hourly_fe_analysis(obs, es.analysis); });
-          }));
+      if (design_.needs_treated && !any_treated(report, a, metric)) continue;
+      const bool paired = two_groups(first_usable_rows(report, a, metric));
+      const std::vector<Label>& labels =
+          paired || design_.single_labels.empty() ? design_.paired_labels
+                                                  : design_.single_labels;
+      const std::string suffix = allocation_suffix(report, a);
+      const std::size_t first = out.size();
+      for (const Label& label : labels) {
+        EstimateRow& row = out.emplace_back();
+        row.metric = std::string(metric);
+        row.label = label.text + suffix;
+        row.estimand = label.estimand;
+        row.allocation = report.allocations[a];
+        row.replicates.reserve(report.replicates);
+      }
+      for (std::size_t r = 0; r < report.replicates; ++r) {
+        const CellInput in{
+            report.cell(a, r), metric_column(report, a, r, metric), paired,
+            stats::substream_seed(options.seed, a * 8192 + r),
+            options.analysis};
+        const std::vector<EffectEstimate> reads = design_.read(in);
+        for (std::size_t q = 0; q < labels.size(); ++q) {
+          out[first + q].replicates.push_back(reads[q]);
+        }
+      }
     }
     return out;
   }
+
+ private:
+  const PerCellDesign& design_;
 };
 
 /// gradual/contrast — gradual deployments as measurement instruments
@@ -429,16 +468,16 @@ class EventStudyTteEstimator final : public BuiltinEstimator {
 /// (treated at the highest allocation vs control at the lowest). All
 /// Welch on raw outcomes; core::sutva_tests reads the SUTVA battery off
 /// these rows.
-class GradualContrastEstimator final : public BuiltinEstimator {
+class GradualContrastEstimator final : public Estimator {
  public:
   std::string_view name() const noexcept override {
     return "gradual/contrast";
   }
 
-  std::vector<EstimateRow> rows(
+  std::vector<EstimateRow> estimate_metric(
       const ExperimentReport& report, std::string_view metric,
       const EstimatorOptions& options) const override {
-    if (report.allocations.empty()) return {};
+    if (!has_rows(report, metric) || report.allocations.empty()) return {};
     const std::size_t a_min = static_cast<std::size_t>(
         std::min_element(report.allocations.begin(),
                          report.allocations.end()) -
@@ -522,194 +561,34 @@ class GradualContrastEstimator final : public BuiltinEstimator {
   }
 };
 
-/// quantile/ladder — p50/p90/p99 quantile treatment effects with
-/// percentile-bootstrap intervals. On paired data the ladder runs over
-/// the TTE contrast (the Figure 9 pairing); otherwise over the rows as
-/// labeled. Bootstrap streams are derived from EstimatorOptions::seed
-/// per (replicate, rung), so the ladder is reproducible at any thread
-/// count.
-class QuantileLadderEstimator final : public BuiltinEstimator {
- public:
-  std::string_view name() const noexcept override {
-    return "quantile/ladder";
-  }
-
-  std::vector<EstimateRow> rows(
-      const ExperimentReport& report, std::string_view metric,
-      const EstimatorOptions& options) const override {
-    static constexpr double kQuantiles[] = {0.5, 0.9, 0.99};
-    static constexpr const char* kLabels[] = {"p50", "p90", "p99"};
-
-    std::vector<EstimateRow> out;
-    for (std::size_t a = 0; a < report.allocations.size(); ++a) {
-      const std::string suffix = allocation_suffix(report, a);
-      const bool paired = two_groups(first_usable_rows(report, a, metric));
-
-      // One ladder per replicate, transposed into one row per rung.
-      std::vector<EstimateRow> rung_rows(std::size(kQuantiles));
-      for (std::size_t q = 0; q < std::size(kQuantiles); ++q) {
-        rung_rows[q].metric = std::string(metric);
-        rung_rows[q].label = std::string(kLabels[q]) + suffix;
-        rung_rows[q].estimand = paired ? Estimand::kTotalTreatmentEffect
-                                       : Estimand::kAverageTreatmentEffect;
-        rung_rows[q].allocation = report.allocations[a];
-      }
-      for (std::size_t r = 0; r < report.replicates; ++r) {
-        const Rows rows = metric_column(report, a, r, metric);
-        std::vector<Observation> contrast =
-            paired ? tte_contrast(rows)
-                   : std::vector<Observation>(rows.begin(), rows.end());
-        // Quantiles have no aggregation step to hide behind: drop
-        // corrupted (non-finite) outcomes here, like the regression
-        // pipelines do in aggregate_hourly.
-        std::erase_if(contrast, [](const Observation& row) {
-          return !std::isfinite(row.outcome);
-        });
-        QuantileEffectOptions ladder_options;
-        ladder_options.confidence_level = options.analysis.confidence_level;
-        ladder_options.bootstrap_replicates =
-            options.analysis.bootstrap_replicates;
-        ladder_options.seed =
-            stats::substream_seed(options.seed, a * 8192 + r);
-        // quantile_effect_ladder owns the per-rung substream scheme; a
-        // failed guard nulls every rung of this replicate.
-        std::vector<QuantileEffectRow> ladder(std::size(kQuantiles));
-        if (both_arms(contrast, 10)) {
-          try {
-            ladder =
-                quantile_effect_ladder(contrast, kQuantiles, ladder_options);
-          } catch (const std::exception&) {
-            ladder.assign(std::size(kQuantiles), QuantileEffectRow{});
-          }
-        }
-        for (std::size_t q = 0; q < std::size(kQuantiles); ++q) {
-          // Same finiteness backstop as guarded(): an all-NaN column
-          // yields NaN quantiles without throwing, which must null out.
-          const EffectEstimate& effect = ladder[q].effect;
-          rung_rows[q].replicates.push_back(
-              std::isfinite(effect.estimate) ? effect : EffectEstimate{});
-        }
-      }
-      for (EstimateRow& row : rung_rows) out.push_back(std::move(row));
-    }
-    return out;
-  }
-};
-
-/// aa/null — the A/A calibration read (Section 4.1): on paired data, the
-/// link-similarity difference (control rows of link 1 vs control rows of
-/// link 2 through the hourly FE pipeline — significant rows are
-/// pre-existing imbalances); on single-group data, the as-labeled
-/// account-level difference. Either way the expected answer is "null".
-class AaNullEstimator final : public BuiltinEstimator {
- public:
-  std::string_view name() const noexcept override { return "aa/null"; }
-
-  std::vector<EstimateRow> rows(
-      const ExperimentReport& report, std::string_view metric,
-      const EstimatorOptions& options) const override {
-    std::vector<EstimateRow> out;
-    for (std::size_t a = 0; a < report.allocations.size(); ++a) {
-      const std::string suffix = allocation_suffix(report, a);
-      if (two_groups(first_usable_rows(report, a, metric))) {
-        out.push_back(replicate_row(
-            report, a, metric, "link_diff" + suffix,
-            Estimand::kAverageTreatmentEffect, [&](std::size_t r) {
-              const auto obs =
-                  aa_link_contrast(metric_column(report, a, r, metric));
-              return guarded(
-                  [&] { return hourly_ok(obs); },
-                  [&] { return hourly_fe_analysis(obs, options.analysis); });
-            }));
-      } else {
-        out.push_back(replicate_row(
-            report, a, metric, "arm_diff" + suffix,
-            Estimand::kAverageTreatmentEffect, [&](std::size_t r) {
-              const Rows rows = metric_column(report, a, r, metric);
-              return guarded(
-                  [&] { return accounts_ok(rows); },
-                  [&] {
-                    return account_level_analysis(rows, options.analysis);
-                  });
-            }));
-      }
-    }
-    return out;
-  }
-};
-
-/// guardrail/srm — the sample-ratio-mismatch check as first-class
-/// estimate rows, one per allocation: estimate = observed - intended
-/// treated fraction, p-value from the 1-df chi-square, significant iff
-/// the guardrail tripped. On healthy worlds every row is null-ish
-/// (p ~ 1); a significant row means the cell's assignment or telemetry
-/// is broken and its other estimates should not be believed. Reads the
-/// DataQualityReport the pipeline attached to each cell, recomputing
-/// against the raw allocation for hand-built reports that never ran
-/// through run_experiment.
-class SrmGuardrailEstimator final : public BuiltinEstimator {
- public:
-  std::string_view name() const noexcept override { return "guardrail/srm"; }
-
-  std::vector<EstimateRow> rows(
-      const ExperimentReport& report, std::string_view metric,
-      const EstimatorOptions& options) const override {
-    std::vector<EstimateRow> out;
-    for (std::size_t a = 0; a < report.allocations.size(); ++a) {
-      out.push_back(replicate_row(
-          report, a, metric, "srm" + allocation_suffix(report, a),
-          Estimand::kAverageTreatmentEffect, [&](std::size_t r) {
-            const ExperimentCell& cell = report.cell(a, r);
-            if (!cell.status.ok()) return EffectEstimate{};
-            const DataQualityReport quality =
-                cell.quality.computed
-                    ? cell.quality
-                    : assess_quality(cell.table, cell.allocation);
-            if (quality.rows == 0) return EffectEstimate{};
-            const double f = quality.intended_treated_fraction;
-            const auto n = static_cast<double>(quality.rows);
-            EffectEstimate estimate;
-            estimate.estimate =
-                quality.observed_treated_fraction - f;
-            estimate.baseline = f;
-            estimate.std_error = std::sqrt(std::max(0.0, f * (1.0 - f)) / n);
-            const double z = stats::normal_inv(
-                0.5 + options.analysis.confidence_level / 2.0);
-            estimate.ci_low = estimate.estimate - z * estimate.std_error;
-            estimate.ci_high = estimate.estimate + z * estimate.std_error;
-            estimate.p_value = quality.srm_p_value;
-            estimate.significant = quality.srm_flag;
-            return estimate;
-          }));
-    }
-    return out;
-  }
-};
-
 // --------------------------------------------------------------- registry ----
 
 void install_builtins(std::map<std::string, EstimatorFactory>& reg) {
-  const auto add = [&](const char* name, auto make) {
-    reg.emplace(name, [make]() -> std::unique_ptr<Estimator> {
-      return make();
-    });
+  constexpr Estimand kAte = Estimand::kAverageTreatmentEffect;
+  constexpr Estimand kTte = Estimand::kTotalTreatmentEffect;
+  // Static, so making an estimator copies no design: one line per key.
+  static const PerCellDesign kDesigns[] = {
+      {"naive/ab", {{"tau(link1)", kAte}, {"tau(link2)", kAte}},
+       {{"tau", kAte}}, read_naive_ab, true},
+      {"paired_link/tte", {{"tte", kTte}, {"tte(account)", kTte}}, {},
+       read_paired_tte},
+      {"paired_link/spillover", {{"spillover", Estimand::kSpillover}}, {},
+       read_spillover},
+      {"switchback/tte", {{"tte", kTte}}, {}, read_switchback},
+      {"event_study/tte", {{"tte", kTte}}, {}, read_event_study},
+      {"quantile/ladder", {{"p50", kTte}, {"p90", kTte}, {"p99", kTte}},
+       {{"p50", kAte}, {"p90", kAte}, {"p99", kAte}}, read_quantile_ladder},
+      {"aa/null", {{"link_diff", kAte}}, {{"arm_diff", kAte}}, read_aa_null},
+      {"guardrail/srm", {{"srm", kAte}}, {}, read_srm},
   };
-  add("naive/ab", [] { return std::make_unique<NaiveAbEstimator>(); });
-  add("paired_link/tte",
-      [] { return std::make_unique<PairedLinkTteEstimator>(); });
-  add("paired_link/spillover",
-      [] { return std::make_unique<PairedLinkSpilloverEstimator>(); });
-  add("switchback/tte",
-      [] { return std::make_unique<SwitchbackTteEstimator>(); });
-  add("event_study/tte",
-      [] { return std::make_unique<EventStudyTteEstimator>(); });
-  add("gradual/contrast",
-      [] { return std::make_unique<GradualContrastEstimator>(); });
-  add("quantile/ladder",
-      [] { return std::make_unique<QuantileLadderEstimator>(); });
-  add("aa/null", [] { return std::make_unique<AaNullEstimator>(); });
-  add("guardrail/srm",
-      [] { return std::make_unique<SrmGuardrailEstimator>(); });
+  for (const PerCellDesign& design : kDesigns) {
+    reg.emplace(design.name, [&design]() -> std::unique_ptr<Estimator> {
+      return std::make_unique<PerCellEstimator>(design);
+    });
+  }
+  reg.emplace("gradual/contrast", []() -> std::unique_ptr<Estimator> {
+    return std::make_unique<GradualContrastEstimator>();
+  });
 }
 
 util::StringRegistry<EstimatorFactory>& registry() {

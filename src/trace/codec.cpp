@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -111,23 +113,34 @@ bool parse_token(const std::string& token, T& out) {
 }
 
 /// Apply one metadata key=value pair; `where` names the location for
-/// error messages ("line 3" / "binary header entry 2").
+/// error messages ("line 3" / "binary header entry 2"). The two fractions
+/// must lie in [0, 1] and the horizon must be finite and >= 0; 0 is the
+/// "not recorded" value of all three.
 void apply_meta_kv(TraceMeta& meta, const std::string& key,
                    const std::string& value, const std::string& where) {
   const auto bad_value = [&] {
     fail(where + ", metadata key '" + key + "': cannot parse value '" +
          value + "'");
   };
+  const auto parse_bounded = [&](double& out, double max, const char* range) {
+    if (!parse_token(value, out)) bad_value();
+    if (!(std::isfinite(out) && out >= 0.0 && out <= max)) {
+      fail(where + ", metadata key '" + key + "': value '" + value +
+           "' is not " + range);
+    }
+  };
   if (key == "source") {
     meta.source = value;
   } else if (key == "allocation") {
-    if (!parse_token(value, meta.allocation)) bad_value();
+    parse_bounded(meta.allocation, 1.0, "a fraction in [0, 1]");
   } else if (key == "intended_treated_fraction") {
-    if (!parse_token(value, meta.intended_treated_fraction)) bad_value();
+    parse_bounded(meta.intended_treated_fraction, 1.0,
+                  "a fraction in [0, 1]");
   } else if (key == "seed") {
     if (!parse_token(value, meta.seed)) bad_value();
   } else if (key == "horizon_s") {
-    if (!parse_token(value, meta.horizon_s)) bad_value();
+    parse_bounded(meta.horizon_s, std::numeric_limits<double>::max(),
+                  "a finite duration >= 0");
   } else {
     fail(where + ": unknown metadata key '" + key + "'");
   }

@@ -33,10 +33,6 @@ void StallSampler::draw_gap() noexcept {
       1 + static_cast<std::uint64_t>(std::min(gap, 9.0e18));
 }
 
-SessionPool::SessionPool(const SessionParams& params, const AbrConfig& abr)
-    : SessionPool(params, std::vector<AbrPolicy>{AbrPolicy{
-                              AbrKind::kHybrid, abr}}) {}
-
 SessionPool::SessionPool(const SessionParams& params,
                          std::vector<AbrPolicy> policies)
     : params_(params), policies_(std::move(policies)) {
@@ -106,39 +102,44 @@ void SessionPool::repartition() {
   partition_dirty_ = false;
 }
 
+template <typename Self, typename F>
+void SessionPool::slot_arrays(Self& self, F&& f) {
+  f(self.identity_);
+  f(self.state_);
+  f(self.clock_);
+  f(self.buffer_seconds_);
+  f(self.bitrate_);
+  f(self.quality_);
+  f(self.startup_bytes_left_);
+  f(self.played_seconds_);
+  f(self.duration_);
+  f(self.patience_);
+  f(self.access_rate_bps_);
+  f(self.sustained_cap_);
+  f(self.rungs_);
+  f(self.rung_quality_);
+  f(self.rung_top_index_);
+  f(self.policy_);
+  f(self.ewma_rate_);
+  f(self.delivered_bytes_);
+  f(self.retransmitted_bytes_);
+  f(self.hungry_bytes_);
+  f(self.hungry_seconds_);
+  f(self.min_rtt_);
+  f(self.play_delay_);
+  f(self.rebuffer_seconds_);
+  f(self.rebuffer_count_);
+  f(self.switches_);
+  f(self.cancelled_);
+  f(self.rtt_sum_ref_);
+  f(self.rtt_ticks_ref_);
+  f(self.played_marker_);
+  f(self.bitrate_time_integral_);
+  f(self.quality_time_integral_);
+}
+
 void SessionPool::reserve(std::size_t sessions) {
-  identity_.reserve(sessions);
-  state_.reserve(sessions);
-  clock_.reserve(sessions);
-  buffer_seconds_.reserve(sessions);
-  bitrate_.reserve(sessions);
-  quality_.reserve(sessions);
-  startup_bytes_left_.reserve(sessions);
-  played_seconds_.reserve(sessions);
-  duration_.reserve(sessions);
-  patience_.reserve(sessions);
-  access_rate_bps_.reserve(sessions);
-  sustained_cap_.reserve(sessions);
-  rungs_.reserve(sessions);
-  rung_quality_.reserve(sessions);
-  rung_top_index_.reserve(sessions);
-  policy_.reserve(sessions);
-  ewma_rate_.reserve(sessions);
-  delivered_bytes_.reserve(sessions);
-  retransmitted_bytes_.reserve(sessions);
-  hungry_bytes_.reserve(sessions);
-  hungry_seconds_.reserve(sessions);
-  min_rtt_.reserve(sessions);
-  play_delay_.reserve(sessions);
-  rebuffer_seconds_.reserve(sessions);
-  rebuffer_count_.reserve(sessions);
-  switches_.reserve(sessions);
-  cancelled_.reserve(sessions);
-  rtt_sum_ref_.reserve(sessions);
-  rtt_ticks_ref_.reserve(sessions);
-  played_marker_.reserve(sessions);
-  bitrate_time_integral_.reserve(sessions);
-  quality_time_integral_.reserve(sessions);
+  slot_arrays(*this, [sessions](auto& arr) { arr.reserve(sessions); });
   good_bytes_.reserve(sessions);
   abr_index_.reserve(sessions);
 }
@@ -700,24 +701,12 @@ SessionRecord SessionPool::finalize(std::size_t i) const {
   return r;
 }
 
-void SessionPool::retire_finished(std::vector<SessionRecord>& out,
-                                  std::uint64_t& completed) {
-  // Done sessions live in the tail bucket, so retirement is a finalize
-  // sweep over a dense suffix plus one truncation — no per-slot
-  // swap-erase holes, and surviving slot order is untouched.
-  repartition();
-  const std::size_t alive_end = bucket_begin_[3 * policies_.size()];
-  const std::size_t n = state_.size();
-  for (std::size_t i = alive_end; i < n; ++i) {
-    out.push_back(finalize(i));
-    ++completed;
-  }
-  truncate(alive_end);
-}
-
 void SessionPool::retire_finished(
     const std::function<void(const SessionRecord&)>& sink,
     std::uint64_t& completed) {
+  // Done sessions live in the tail bucket, so retirement is a finalize
+  // sweep over a dense suffix plus one truncation — no per-slot
+  // swap-erase holes, and surviving slot order is untouched.
   repartition();
   const std::size_t alive_end = bucket_begin_[3 * policies_.size()];
   const std::size_t n = state_.size();
@@ -726,12 +715,6 @@ void SessionPool::retire_finished(
     ++completed;
   }
   truncate(alive_end);
-}
-
-void SessionPool::flush_all(std::vector<SessionRecord>& out) const {
-  for (std::size_t i = 0; i < state_.size(); ++i) {
-    out.push_back(finalize(i));
-  }
 }
 
 void SessionPool::flush_all(
@@ -742,78 +725,14 @@ void SessionPool::flush_all(
 }
 
 void SessionPool::swap_slots(std::size_t a, std::size_t b) noexcept {
-  const auto sw = [a, b](auto& arr) {
+  slot_arrays(*this, [a, b](auto& arr) {
     using std::swap;
     swap(arr[a], arr[b]);
-  };
-  sw(identity_);
-  sw(state_);
-  sw(clock_);
-  sw(buffer_seconds_);
-  sw(bitrate_);
-  sw(quality_);
-  sw(startup_bytes_left_);
-  sw(played_seconds_);
-  sw(duration_);
-  sw(patience_);
-  sw(access_rate_bps_);
-  sw(sustained_cap_);
-  sw(rungs_);
-  sw(rung_quality_);
-  sw(rung_top_index_);
-  sw(policy_);
-  sw(ewma_rate_);
-  sw(delivered_bytes_);
-  sw(retransmitted_bytes_);
-  sw(hungry_bytes_);
-  sw(hungry_seconds_);
-  sw(min_rtt_);
-  sw(play_delay_);
-  sw(rebuffer_seconds_);
-  sw(rebuffer_count_);
-  sw(switches_);
-  sw(cancelled_);
-  sw(rtt_sum_ref_);
-  sw(rtt_ticks_ref_);
-  sw(played_marker_);
-  sw(bitrate_time_integral_);
-  sw(quality_time_integral_);
+  });
 }
 
 void SessionPool::truncate(std::size_t new_size) {
-  const auto cut = [new_size](auto& arr) { arr.resize(new_size); };
-  cut(identity_);
-  cut(state_);
-  cut(clock_);
-  cut(buffer_seconds_);
-  cut(bitrate_);
-  cut(quality_);
-  cut(startup_bytes_left_);
-  cut(played_seconds_);
-  cut(duration_);
-  cut(patience_);
-  cut(access_rate_bps_);
-  cut(sustained_cap_);
-  cut(rungs_);
-  cut(rung_quality_);
-  cut(rung_top_index_);
-  cut(policy_);
-  cut(ewma_rate_);
-  cut(delivered_bytes_);
-  cut(retransmitted_bytes_);
-  cut(hungry_bytes_);
-  cut(hungry_seconds_);
-  cut(min_rtt_);
-  cut(play_delay_);
-  cut(rebuffer_seconds_);
-  cut(rebuffer_count_);
-  cut(switches_);
-  cut(cancelled_);
-  cut(rtt_sum_ref_);
-  cut(rtt_ticks_ref_);
-  cut(played_marker_);
-  cut(bitrate_time_integral_);
-  cut(quality_time_integral_);
+  slot_arrays(*this, [new_size](auto& arr) { arr.resize(new_size); });
   bucket_count_.back() = 0;
   bucket_begin_.back() = new_size;
 }
@@ -824,21 +743,13 @@ void SessionPool::check_invariants() const {
   };
   const std::size_t n = state_.size();
   const std::size_t policies = policies_.size();
-  const auto check_len = [&](std::size_t len, const char* name) {
-    if (len != n) fail(std::string("array length mismatch: ") + name);
-  };
-  check_len(identity_.size(), "identity");
-  check_len(clock_.size(), "clock");
-  check_len(buffer_seconds_.size(), "buffer_seconds");
-  check_len(bitrate_.size(), "bitrate");
-  check_len(quality_.size(), "quality");
-  check_len(rungs_.size(), "rungs");
-  check_len(rung_quality_.size(), "rung_quality");
-  check_len(rung_top_index_.size(), "rung_top_index");
-  check_len(policy_.size(), "policy");
-  check_len(rtt_sum_ref_.size(), "rtt_sum_ref");
-  check_len(rtt_ticks_ref_.size(), "rtt_ticks_ref");
-  check_len(played_marker_.size(), "played_marker");
+  std::size_t array = 0;
+  slot_arrays(*this, [&](const auto& arr) {
+    if (arr.size() != n) {
+      fail("array length mismatch: slot array " + std::to_string(array));
+    }
+    ++array;
+  });
 
   // Bucket bookkeeping: eager counts must match a fresh recount, and when
   // the partition is clean the physical layout must match bucket_begin_.

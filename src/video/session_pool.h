@@ -135,13 +135,10 @@ class StallSampler {
 
 class SessionPool {
  public:
-  /// Single-policy pool: every session runs the hybrid ABR with `abr` —
-  /// the pre-policy behavior (pool-of-one unit tests).
-  SessionPool(const SessionParams& params, const AbrConfig& abr);
-
-  /// Policy-table pool: `policies` is the dispatch table Arrival::policy
-  /// indexes into (the cluster resolves named TreatmentPolicies to one
-  /// AbrPolicy per arm). At most 255 entries; must be non-empty.
+  /// `policies` is the dispatch table Arrival::policy indexes into (the
+  /// cluster resolves named TreatmentPolicies to one AbrPolicy per arm;
+  /// `{AbrPolicy{}}` runs every session on the default hybrid ABR). At
+  /// most 255 entries; must be non-empty.
   SessionPool(const SessionParams& params, std::vector<AbrPolicy> policies);
 
   /// Everything a new session needs. `ladder` is not owned: it must stay
@@ -187,14 +184,6 @@ class SessionPool {
   /// the slot order this call establishes.
   void gather_demand(std::vector<double>& demands, DemandTotals& totals);
 
-  /// Back-compat shim for callers that only need the desired load.
-  void gather_demand(std::vector<double>& demands,
-                     double& desired_load_bps) {
-    DemandTotals totals;
-    gather_demand(demands, totals);
-    desired_load_bps = totals.desired_load_bps;
-  }
-
   /// Pass 3 (pass 2 is the link's allocation): integrate one tick given
   /// the per-slot grants and the link's RTT/loss. `alloc` must be indexed
   /// by the slot order of the preceding gather_demand (no add() in
@@ -204,22 +193,16 @@ class SessionPool {
   void advance_all(double dt, std::span<const double> alloc, double rtt,
                    double loss, StallSampler* stalls = nullptr);
 
-  /// Pass 4: finalize every kDone slot into `out` (bumping `completed`)
-  /// and recycle the slots by popping the done bucket off the tail.
-  void retire_finished(std::vector<SessionRecord>& out,
-                       std::uint64_t& completed);
-
-  /// Sink form of pass 4: streaming consumers (core/cell_accumulator.h)
-  /// fold each record as it retires instead of materializing a vector.
-  /// Records are produced in the same order as the vector overload.
+  /// Pass 4: hand every kDone slot's record to `sink` (bumping
+  /// `completed`), in slot order, and recycle the slots by popping the
+  /// done bucket off the tail. Streaming consumers
+  /// (core/cell_accumulator.h) fold each record as it retires.
   void retire_finished(const std::function<void(const SessionRecord&)>& sink,
                        std::uint64_t& completed);
 
-  /// Finalize every still-active slot (partial telemetry is valid; the
-  /// paper's datasets flush the same way at the experiment boundary).
-  void flush_all(std::vector<SessionRecord>& out) const;
-
-  /// Sink form of the flush, same record order as the vector overload.
+  /// Hand every still-active slot's record to `sink`, in slot order
+  /// (partial telemetry is valid; the paper's datasets flush the same way
+  /// at the experiment boundary).
   void flush_all(const std::function<void(const SessionRecord&)>& sink) const;
 
   // ----- per-slot accessors (tests) -----------------------------------
@@ -263,7 +246,7 @@ class SessionPool {
   SessionRecord finalize(std::size_t i) const;
 
   /// Validate every pool invariant the partitioned fast path relies on:
-  /// equal array lengths, bucket counts consistent with per-slot
+  /// equal lengths of every slot array, bucket counts consistent with per-slot
   /// state/policy bytes (and, when the partition is clean, physically
   /// grouped), cached ladder rung pointers non-null with a sane top
   /// index, policy indices inside the dispatch table, the cached
@@ -279,8 +262,16 @@ class SessionPool {
   /// cached per-rung score so the switch path never recomputes it.
   void apply_bitrate_switch(std::size_t i, double next,
                             double quality) noexcept;
+  /// Calls f on each of the 32 per-slot arrays, identity_ through
+  /// quality_time_integral_: the one list of the slot layout that
+  /// reserve, swap_slots, truncate and check_invariants share. A new
+  /// per-slot array joins this list (and add()). `Self` is SessionPool
+  /// or const SessionPool.
+  template <typename Self, typename F>
+  static void slot_arrays(Self& self, F&& f);
   /// Restore the physical bucket grouping after adds/transitions marked
-  /// it dirty. O(size) byte scan + one 31-array swap per misplaced slot.
+  /// it dirty. O(size) byte scan + one slot_arrays swap per misplaced
+  /// slot.
   void repartition();
   void swap_slots(std::size_t a, std::size_t b) noexcept;
   void truncate(std::size_t new_size);

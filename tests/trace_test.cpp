@@ -190,6 +190,41 @@ TEST(TraceCodec, MalformedCsvValueNamesLineAndField) {
   expect_csv_error("\n1000,", "\n 12,", {"line 8", "session_id", "' 12'"});
   // Metadata values follow the same rule; #seed is line 5.
   expect_csv_error("#seed=9", "#seed= -10", {"line 5", "seed", "' -10'"});
+  // The fractions (lines 3 and 4) must lie in [0, 1] and the horizon
+  // (line 6) must be finite and >= 0.
+  for (const char* bad : {"7", "nan", "-1", "inf"}) {
+    SCOPED_TRACE(bad);
+    expect_csv_error("#allocation=0.94999999999999996",
+                     std::string("#allocation=") + bad,
+                     {"line 3", "allocation", "[0, 1]"});
+    expect_csv_error("#intended_treated_fraction=0.50719999999999998",
+                     std::string("#intended_treated_fraction=") + bad,
+                     {"line 4", "intended_treated_fraction", "[0, 1]"});
+  }
+  for (const char* bad : {"nan", "-1", "inf", "-inf"}) {
+    SCOPED_TRACE(bad);
+    expect_csv_error("#horizon_s=18000", std::string("#horizon_s=") + bad,
+                     {"line 6", "horizon_s", "finite duration"});
+  }
+}
+
+TEST(TraceCodec, OutOfRangeBinaryMetadataNamesEntryAndKey) {
+  // The writer does not check metadata; the reader refuses it. Entry 1
+  // of the binary header is the allocation.
+  auto log = make_log(3);
+  log.meta.allocation = 7.0;
+  std::ostringstream out;
+  trace::write_trace(out, log, trace::TraceFormat::kBinary);
+  std::istringstream in(out.str());
+  try {
+    trace::read_trace(in, trace::TraceFormat::kBinary);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("binary header entry 1"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("allocation"), std::string::npos) << message;
+  }
 }
 
 TEST(TraceCodec, MalformedCsvHeaderNamesColumn) {

@@ -460,14 +460,17 @@ TEST(SessionPool, PolicyTableDispatchesPerSlot) {
   // Grant both slots their full 50 Mb/s access rate, long enough for
   // full buffers and a settled EWMA.
   std::vector<double> demands, alloc;
-  double desired = 0.0;
+  video::SessionPool::DemandTotals totals;
   std::vector<video::SessionRecord> records;
+  const auto keep = [&](const video::SessionRecord& r) {
+    records.push_back(r);
+  };
   std::uint64_t completed = 0;
   for (int tick = 0; tick < 240; ++tick) {
-    pool.gather_demand(demands, desired);
+    pool.gather_demand(demands, totals);
     alloc.assign(pool.size(), 50e6);
     pool.advance_all(1.0, alloc, 0.03, 0.0);
-    pool.retire_finished(records, completed);
+    pool.retire_finished(keep, completed);
   }
   ASSERT_EQ(pool.size(), 2u);
   // Hybrid: the buffer hovers one playback tick under its ceiling (fill,
@@ -482,7 +485,7 @@ TEST(SessionPool, SlotRecyclingPreservesSurvivorState) {
   // Retiring a middle slot swap-moves the back slot in; the survivor's
   // telemetry must ride along intact.
   const video::BitrateLadder& ladder = video::BitrateLadder::shared_standard();
-  video::SessionPool pool{video::SessionParams{}, video::AbrConfig{}};
+  video::SessionPool pool{video::SessionParams{}, {video::AbrPolicy{}}};
   auto arrival = [&](std::uint64_t id, double duration) {
     video::SessionPool::Arrival a;
     a.id = id;
@@ -496,14 +499,17 @@ TEST(SessionPool, SlotRecyclingPreservesSurvivorState) {
   pool.add(arrival(1, 20.0));   // finishes quickly
   pool.add(arrival(2, 3600.0));  // long-lived survivor
   std::vector<double> demands, alloc(2, 30e6);
-  double desired = 0.0;
+  video::SessionPool::DemandTotals totals;
   std::vector<video::SessionRecord> records;
+  const auto keep = [&](const video::SessionRecord& r) {
+    records.push_back(r);
+  };
   std::uint64_t completed = 0;
   for (int tick = 0; tick < 40; ++tick) {
-    pool.gather_demand(demands, desired);
+    pool.gather_demand(demands, totals);
     alloc.assign(pool.size(), 30e6);
     pool.advance_all(1.0, alloc, 0.03, 0.0);
-    pool.retire_finished(records, completed);
+    pool.retire_finished(keep, completed);
   }
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].session_id, 1u);

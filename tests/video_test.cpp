@@ -271,7 +271,7 @@ struct PoolOfOne {
   explicit PoolOfOne(xp::stats::Rng& rng, double ceiling = 16e6,
                      double duration = 600.0)
       : ladder(standard().capped(ceiling)),
-        pool(fast_session_params(), AbrConfig{}) {
+        pool(fast_session_params(), {AbrPolicy{}}) {
     const SessionParams params = fast_session_params();
     SessionPool::Arrival arrival;
     arrival.id = 1;
